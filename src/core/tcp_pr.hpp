@@ -128,11 +128,6 @@ class TcpPrSender final : public tcp::SenderBase {
     unblock_timer_.rebind(shard);
     unblock_timer_.set_stamp_entity(static_cast<std::uint32_t>(local_node()));
   }
-  void migrate_to_shard(sim::Scheduler& shard) override {
-    tcp::SenderBase::migrate_to_shard(shard);
-    drop_timer_.rebind_for_migration(shard);
-    unblock_timer_.rebind_for_migration(shard);
-  }
 
   enum class Mode { kSlowStart, kCongestionAvoidance };
   Mode mode() const { return mode_; }
@@ -148,32 +143,6 @@ class TcpPrSender final : public tcp::SenderBase {
 
   // alpha^(1/cwnd) via Newton's method (footnote 5); exposed for tests.
   static double newton_alpha_root(double alpha, double cwnd, int iterations);
-
-  void state(util::StateIO& io) override {
-    tcp::SenderBase::state(io);
-    io.pod(mode_);
-    io.pod(cwnd_);
-    io.pod(ssthr_);
-    io.pod(ewrtt_s_);
-    io.pod(backoff_mxrtt_s_);
-    io.pod(in_backoff_);
-    io.pod(cburst_);
-    io.pod(burst_snapshot_size_);
-    io.pod(recover_point_);
-    io.pod(episode_started_);
-    io.pod(send_blocked_until_);
-    io.pod(next_new_);
-    io.pod(dup_credits_);
-    io.pod_sequence(to_be_sent_rtx_);
-    io.pod_map(drop_counts_);
-    io.pod_map(to_be_ack_);
-    io.pod_map(send_order_);
-    io.pod_sequence(memorize_);
-    io.pod(next_tx_serial_);
-    io.pod(early_drop_declarations_);
-    io.obj(drop_timer_);
-    io.obj(unblock_timer_);
-  }
 
  protected:
   void on_start() override;

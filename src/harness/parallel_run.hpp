@@ -1,8 +1,6 @@
-// Parallel execution harness: binds a built Scenario to the parallel
-// engine (sim/parallel_engine.hpp) so one simulation runs across several
-// scheduler shards and produces byte-identical results — conservatively,
-// with bounded-optimism speculation, with adaptive mid-run repartitioning,
-// or any combination.
+// Parallel execution harness: binds a built Scenario to the conservative
+// parallel engine (sim/parallel_engine.hpp) so one simulation runs across
+// several scheduler shards and produces byte-identical results.
 //
 // Responsibilities, in construction order:
 //
@@ -27,28 +25,10 @@
 //
 // During the run the exchange hook drains each mailbox — in deterministic
 // order — into the destination link's injected-arrivals ring, which arms
-// one replay-safe event per entry on the destination shard at the stamp
-// minted on the source shard (exactly the op position the sequential
-// delivery-schedule call occupies). Buffered trace records merge in
-// (time, stamp, emission) order into the scenario's real tracer; only
-// records below the barrier flush (later ones may still be speculative).
-//
-// Optimistic mode (DESIGN.md §4.10): when every shard's pending set is
-// replay-safe, each barrier snapshots all LPs (scheduler checkpoint +
-// StateIO byte-image of the LP's components) and runs a speculative
-// window W past the safe horizon. settle() then finds straggler-hit LPs
-// by a monotone fixpoint over commit keys and cut lookaheads, restores
-// exactly those from snapshot (events regenerate from component state),
-// retracts their unsent messages and delivers the rest. Commits are
-// final; delivery stamps are partition- and speculation-independent, so
-// the delivery hash cannot change.
-//
-// Adaptive mode: per-entity fired-event counts (stamp owner bits) are
-// sampled at barriers; on sustained skew the greedy partitioner re-runs
-// with the measured weights and the harness migrates shard contents —
-// serialize everything in a partition-independent order, wipe the pending
-// sets (clocks and stamp mints survive), rewire, deserialize so events
-// regenerate into their new shards.
+// one event per entry on the destination shard at the stamp minted on the
+// source shard (exactly the op position the sequential delivery-schedule
+// call occupies). Buffered trace records merge in (time, stamp, emission)
+// order into the scenario's real tracer at every barrier.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +42,6 @@
 #include "net/packet_pool.hpp"
 #include "sim/parallel_engine.hpp"
 #include "trace/trace.hpp"
-#include "util/state_io.hpp"
 
 namespace tcppr::validate {
 class InvariantChecker;
@@ -79,24 +58,6 @@ struct ParallelRunConfig {
   // Forwarded to the partitioner: links at or below this propagation
   // delay are never cut (zero-delay links never are, regardless).
   sim::Duration min_cut_lookahead = sim::Duration::zero();
-  // Mid-run repartitioning against measured per-node event rates.
-  bool adaptive = false;
-  // Bounded-optimism speculation past the safe horizon.
-  bool optimistic = false;
-  // Speculation-depth policy (w_init/w_min/w_max/w_step); the optimistic
-  // flag above is what actually arms it.
-  sim::ParallelEngine::EngineConfig engine;
-  // Adaptive policy: consider repartitioning at most once per `cooldown`
-  // barriers, only after `min_events` measured fires, and only when the
-  // busiest LP carries more than `skew` times the mean load (the
-  // hysteresis band — balanced runs never migrate).
-  double repartition_skew = 1.5;
-  std::uint64_t repartition_cooldown = 64;
-  std::uint64_t repartition_min_events = 20000;
-  // Mutation self-test: force one speculative rollback and flip a bit of
-  // a receiver's delivery checksum during the snapshot restore, proving
-  // the validation layer sees through rollbacks.
-  bool corrupt_snapshot_for_test = false;
 };
 
 class ParallelSim {
@@ -133,24 +94,14 @@ class ParallelSim {
   std::uint64_t external_in_flight() const;
   std::uint64_t windows() const { return windows_; }
   std::uint64_t exchanged() const { return exchanged_; }
-  // Optimism / adaptivity telemetry (aggregated over run_until calls).
-  std::uint64_t spec_windows() const { return spec_windows_; }
-  std::uint64_t rollback_windows() const { return rollback_windows_; }
-  std::uint64_t rollbacks() const { return rollbacks_; }
-  std::uint64_t repartitions() const { return repartitions_; }
-  // Speculation depth after the last window (zero when never engaged).
-  sim::Duration speculation_w() const { return last_w_; }
 
   // Per-LP barrier report (tcppr_sim --par prints this; the obs gauges
   // mirror it). `utilization` is the LP's executed-event share of the
-  // busiest LP over the whole run — the window-utilization model of
-  // DESIGN.md §4.10.
+  // busiest LP over the whole run.
   struct LpReport {
     std::uint64_t events = 0;
     double utilization = 0.0;
     std::uint64_t cross_pushed = 0;
-    std::uint64_t rollbacks = 0;
-    std::uint64_t snapshot_bytes = 0;  // most recent snapshot, serialized
   };
   std::vector<LpReport> lp_reports() const;
 
@@ -172,7 +123,7 @@ class ParallelSim {
   // stamp of the event that emitted it, and a per-LP emission counter
   // ordering records within one event. Record times are nondecreasing per
   // sink (the shard clock is), so the barrier flush peels the prefix
-  // below the horizon and a rollback truncates back to the snapshot mark.
+  // below the horizon.
   class BufferSink final : public trace::TraceSink {
    public:
     struct Keyed {
@@ -185,12 +136,6 @@ class ParallelSim {
       buf_.push_back(Keyed{record, shard_.current_event_seq(), next_idx_++});
     }
     std::vector<Keyed>& buffer() { return buf_; }
-    std::uint64_t next_idx() const { return next_idx_; }
-    void truncate(std::size_t len, std::uint64_t next_idx) {
-      TCPPR_CHECK(len <= buf_.size());
-      buf_.resize(len);
-      next_idx_ = next_idx;
-    }
 
    private:
     sim::Scheduler& shard_;
@@ -201,22 +146,7 @@ class ParallelSim {
   struct Mailbox {
     net::CrossLinkChannel channel;
     net::Link* link = nullptr;
-    net::Node* dst_node = nullptr;
     int src_lp = 0;
-    int dst_lp = 0;
-    // The cut's lookahead, captured at freeze time (prop delay may only
-    // grow afterwards): the settle fixpoint's earliest-future-arrival
-    // bound.
-    sim::Duration lookahead = sim::Duration::zero();
-  };
-
-  // Everything a rollback needs to put one LP back to the barrier.
-  struct LpSnapshot {
-    sim::Scheduler::Checkpoint cp;
-    std::vector<std::pair<std::int64_t, std::uint32_t>> stamp_slots;
-    std::vector<unsigned char> bytes;
-    std::size_t sink_len = 0;
-    std::uint64_t sink_next_idx = 0;
   };
 
   std::uint64_t exchange();
@@ -224,27 +154,9 @@ class ParallelSim {
   // Flushes buffered records strictly below `below` (TimePoint::max() at
   // the end of the run flushes everything).
   void flush_traces(sim::TimePoint below);
-  void build_mailboxes();
   void wire_partition();
 
-  // --- bounded optimism --------------------------------------------------
-  bool can_speculate() const;
-  void snapshot_lp(int lp);
-  void restore_lp(int lp);
-  // One visitor drives both snapshot directions: every component whose
-  // trajectory lives on LP `lp`, in a fixed order.
-  void serialize_lp(int lp, util::StateIO& io);
-  int settle(sim::TimePoint h, sim::TimePoint bound,
-             const std::vector<sim::Scheduler::SpecResult>& res);
-
-  // --- adaptive repartitioning -------------------------------------------
-  bool maybe_repartition(std::vector<sim::ParallelEngine::CutEdge>& cuts);
-  void migrate_to(Partition next);
-  // Partition-independent whole-world visitor (migration transport).
-  void serialize_world(util::StateIO& io);
-
   Scenario& scenario_;
-  const ParallelRunConfig config_;
   Partition partition_;
   std::vector<sim::Scheduler*> shards_;  // borrowed from scenario_.lp_scheds
   std::vector<std::shared_ptr<net::PacketPool>> pools_;
@@ -259,32 +171,8 @@ class ParallelSim {
   std::vector<BufferSink::Keyed> merge_;  // flush scratch
   validate::InvariantChecker* checker_ = nullptr;
 
-  std::vector<LpSnapshot> snaps_;
-  std::vector<char> rolled_;  // settle scratch
-  std::vector<unsigned char> migrate_buf_;
-  // Counters retired pumps hand over across a migration.
-  net::LinkPump::Stats pump_stats_carry_{};
-  net::LinkPump::RunHistogram pump_hist_carry_{};
-
-  // Per-LP report counters.
-  std::vector<std::uint64_t> lp_events_;
-  std::vector<std::uint64_t> lp_prev_processed_;
-  std::vector<std::uint64_t> lp_rollbacks_;
-  std::vector<std::uint64_t> lp_snapshot_bytes_;
-  // Cross-LP pushes retired mailboxes hand over across a migration.
-  std::vector<std::uint64_t> lp_cross_carry_;
-
-  sim::TimePoint last_barrier_;
-  std::uint64_t windows_since_repart_ = 0;
-  bool corruption_done_ = false;  // corrupt_snapshot_for_test fired once
-
   std::uint64_t windows_ = 0;
   std::uint64_t exchanged_ = 0;
-  std::uint64_t spec_windows_ = 0;
-  std::uint64_t rollback_windows_ = 0;
-  std::uint64_t rollbacks_ = 0;
-  std::uint64_t repartitions_ = 0;
-  sim::Duration last_w_ = sim::Duration::zero();
   bool tracing_ = false;
 };
 

@@ -122,9 +122,7 @@ class Link {
   // Cross-shard packets drained from the mailbox at a barrier park here
   // until their delivery time. Each entry gets one scheduler event on the
   // *destination* shard at the entry's exact (time, stamp) key, capturing
-  // only `this` — so after a rollback the whole pending set is regenerated
-  // from the serialized ring (injected_state), unlike a packet-consuming
-  // lambda. Source-side stats and in-transit accounting already happened
+  // only `this`. Source-side stats and in-transit accounting already happened
   // at push time in complete_packet; delivery observation (telemetry tap,
   // node hand-off) happens on pop, at the same layer as local deliveries.
   // The pool is the destination LP's: pops run on the destination shard's
@@ -134,15 +132,10 @@ class Link {
     injection_sched_ = sched;
     injection_pool_ = std::move(pool);
   }
-  bool has_telemetry_tap() const { return tap_ != nullptr; }
   void queue_injected(sim::TimePoint at, std::uint64_t seq, Packet&& pkt);
   // Entries parked in the ring (counted into the conservation sweep's
   // external in-flight term alongside the mailbox residency).
   std::uint64_t injected_pending() const { return injected_.size(); }
-  // Checkpoint visitor for the ring: destination-LP state (the pop events
-  // live on the destination shard), serialized separately from the
-  // source-LP state() below. Restore re-arms one pop event per entry.
-  void injected_state(util::StateIO& io);
 
   // Hands a packet to this link; may drop it immediately if the queue is
   // full.
@@ -205,29 +198,6 @@ class Link {
     skip_transit_decrement_ = true;
   }
 
-  // --- Checkpoint / migration --------------------------------------------
-  // Source-LP trajectory state: queue contents, transmitter, propagation
-  // ring, RNG positions, counters. In-flight pooled packets serialize by
-  // value and re-checkout fresh pool slots on restore (slot identity is
-  // not observable). The pump index is derived state — the caller reseeds
-  // the pump after restoring every link on the shard.
-  void state(util::StateIO& io);
-  // Mid-run shard migration: re-points the link at its new owner shard
-  // with traffic in flight (the state()/injected_state() restore pass that
-  // follows regenerates every pending event there). Unlike set_scheduler
-  // this does not require the link to be idle.
-  void rebind_for_migration(sim::Scheduler& sched) {
-    sched_ = &sched;
-    queue_->set_time_source(sched_, bandwidth_bps_);
-  }
-  // Pump re-attachment across a migration: register with the new shard's
-  // pump while mid-transmission (detach_pump first; restore then rebuilds
-  // tx/ring state and the caller reseeds the pump).
-  void attach_pump_for_migration(LinkPump* pump) {
-    pump_ = pump;
-    if (pump_ != nullptr) pump_id_ = pump_->add_link(this);
-  }
-
  private:
   void start_transmission();
   void on_tx_complete(PooledPacket pkt);
@@ -243,7 +213,6 @@ class Link {
   // Pops the injected-ring head (the entry whose event just fired) and
   // hands it to the destination node.
   void pop_injected();
-  void arm_injected(sim::TimePoint at, std::uint64_t seq);
   // Sorted insert into the delivery ring (merge position by (at, seq);
   // append is O(1) for in-order deliveries, jittered ones swap backward).
   void insert_delivery(sim::TimePoint at, std::uint64_t seq,
@@ -291,18 +260,13 @@ class Link {
   util::RingDeque<DeliveryEntry> ring_;
   // Cross-shard arrivals parked until their delivery time, in (at, seq)
   // order. Popped by per-entry events on injection_sched_ (the destination
-  // node's shard; equals sched_ once a migration makes the link internal).
+  // node's shard).
   struct InjectedEntry {
     sim::TimePoint at;
     std::uint64_t seq = 0;
     Packet pkt;
   };
   util::RingDeque<InjectedEntry> injected_;
-  // In-flight deliveries displaced by a migration that cut this link:
-  // parked by state() restore, drained into injected_ by the
-  // injected_state() restore pass that follows (which clears the ring
-  // before re-reading it). Empty outside a migration restore.
-  std::vector<InjectedEntry> rehomed_;
   sim::Scheduler* injection_sched_ = nullptr;
   std::shared_ptr<PacketPool> injection_pool_;
   // Mint-order bookkeeping: the last transmission-schedule op minted, used

@@ -61,29 +61,6 @@ void LinkPump::park(PumpKey k) {
   // the unbatched one.
   parked_key_ = k;
   parked_ = sched_->schedule_at_stamped(k.at, k.seq, [this] { on_event(); });
-  // The carrier is derived state: reseed_after_restore re-creates it from
-  // the links' restored op streams, so it never blocks a checkpoint.
-  sched_->mark_replay_safe(parked_);
-}
-
-void LinkPump::reseed_after_restore() {
-  // The scheduler's pending set was destroyed wholesale, so the old parked
-  // id is stale by construction — drop it without a cancel round.
-  parked_ = sim::EventId{};
-  in_batch_ = false;
-  heap_.clear();
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    for (const PumpOp op : {PumpOp::kTxComplete, PumpOp::kDeliver}) {
-      const std::optional<PumpKey> k = links_[i]->pump_op_key(op);
-      if (!k) continue;
-      heap_.push(sim::QueuedEvent{
-          k->at, k->seq,
-          (static_cast<std::uint64_t>(i) << 1) |
-              static_cast<std::uint64_t>(op)});
-    }
-  }
-  const auto min = peek_valid_min();
-  if (min) park(PumpKey{min->time, min->seq});
 }
 
 void LinkPump::push_op(PumpKey k, std::uint32_t link_id, PumpOp op) {

@@ -31,7 +31,6 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/scheduler.hpp"
-#include "util/state_io.hpp"
 
 namespace tcppr::net {
 
@@ -89,21 +88,6 @@ class LinkPump {
 
   // Per-link delivery-run length accounting (obs: batch-size histogram).
   void note_delivery_run(std::uint32_t link_id, std::size_t len);
-
-  // Rebuilds the op index from the links' own (restored) op-stream state
-  // and re-parks the carrier event. Call after Scheduler::restore cleared
-  // the pending set (rollback) or after a migration re-registered the
-  // links: the heap and the parked event are pure derived state, so the
-  // pump never needs its own snapshot of them.
-  void reseed_after_restore();
-
-  // Checkpoint visitor for the counters only (the heap/carrier are
-  // regenerated by reseed_after_restore): keeps reported pump statistics
-  // identical to a run that never speculated.
-  void state(util::StateIO& io) {
-    io.pod(stats_);
-    io.pod_vector(histograms_);
-  }
 
   const Stats& stats() const { return stats_; }
   const RunHistogram& run_histogram(std::uint32_t link_id) const {

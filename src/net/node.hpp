@@ -48,9 +48,6 @@ class SourceRoutingPolicy {
   };
   virtual ~SourceRoutingPolicy() = default;
   virtual std::optional<Choice> choose_route(NodeId dst) = 0;
-  // Checkpoint visitor for policies with trajectory state (per-packet RNG
-  // draws, pick counters); stateless policies keep the empty default.
-  virtual void state(util::StateIO& io) { (void)io; }
 };
 
 struct NodeStats {
@@ -118,23 +115,6 @@ class Node {
   Link* link_to(NodeId neighbor) const;
   std::optional<NodeId> next_hop(NodeId dst) const;
   const NodeStats& stats() const { return stats_; }
-
-  // Checkpoint/rollback visitor: the node's trajectory state is its ECMP
-  // stream position and counters — tables and agent wiring are topology.
-  // The one-entry agent cache resets on restore (an agent attached during
-  // a rolled-back leg could be cached; lookups repopulate it).
-  void state(util::StateIO& io) {
-    io.pod(ecmp_rng_);
-    io.pod(no_agent_warnings_);
-    io.pod(stats_);
-    // The attached routing policy's draws are part of this node's
-    // trajectory (policy attachment itself is build-static).
-    if (routing_policy_ != nullptr) routing_policy_->state(io);
-    if (!io.saving()) {
-      cached_flow_ = kInvalidFlow;
-      cached_agent_ = nullptr;
-    }
-  }
 
  private:
   // Next-hop entry: the neighbor id plus the resolved link, so forwarding

@@ -18,7 +18,6 @@
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 #include "util/ring_deque.hpp"
-#include "util/state_io.hpp"
 
 namespace tcppr::sim {
 class Scheduler;
@@ -94,11 +93,6 @@ class Queue {
 
   const QueueStats& stats() const { return stats_; }
 
-  // Checkpoint/rollback visitor: every discipline serializes its queued
-  // packets plus whatever per-discipline trajectory state it keeps (RED's
-  // average, the RNG stream position). Time-source wiring is not state.
-  virtual void state(util::StateIO& io) { io.pod(stats_); }
-
  protected:
   QueueStats stats_;
 };
@@ -119,12 +113,6 @@ class DropTailQueue final : public Queue {
   std::size_t length_packets() const override { return q_.size(); }
   std::uint64_t length_bytes() const override { return bytes_; }
   std::size_t limit_packets() const { return limit_; }
-
-  void state(util::StateIO& io) override {
-    Queue::state(io);
-    io.pod(bytes_);
-    io.obj_ring(q_);
-  }
 
  private:
   std::size_t limit_;
@@ -150,13 +138,6 @@ class PriorityQueue final : public Queue {
   // Per-band attribution of the aggregate stats (drops in particular:
   // which band rejected the packet).
   const QueueStats& band_stats(int band) const;
-
-  void state(util::StateIO& io) override {
-    Queue::state(io);
-    io.pod(bytes_);
-    for (auto& band : bands_) io.obj_ring(band);
-    io.pod_vector(band_stats_);
-  }
 
  private:
   std::size_t limit_per_band_;
@@ -191,17 +172,6 @@ class RedQueue final : public Queue {
   void set_time_source(const sim::Scheduler* sched,
                        double bandwidth_bps) override;
   double average_queue() const { return avg_; }
-
-  void state(util::StateIO& io) override {
-    Queue::state(io);
-    io.pod(rng_);
-    io.pod(avg_);
-    io.pod(count_since_drop_);
-    io.pod(bytes_);
-    io.pod(idle_);
-    io.pod(idle_since_);
-    io.obj_ring(q_);
-  }
 
  private:
   Params params_;

@@ -72,30 +72,9 @@ class Receiver final : public net::Agent {
     delack_timer_.rebind(shard);
     delack_timer_.set_stamp_entity(static_cast<std::uint32_t>(local_));
   }
-  // Mid-run shard migration: the delayed-ACK timer switches with its stale
-  // id dropped (the migration gate guarantees it was not pending).
-  void migrate_to_shard(sim::Scheduler& shard) {
-    sched_override_ = &shard;
-    delack_timer_.rebind_for_migration(shard);
-  }
   // Count of segments buffered above the in-order point.
   std::size_t ooo_buffered() const { return above_.size(); }
 
-  // Checkpoint/rollback visitor: the receiver's trajectory state,
-  // including the delayed-ACK machinery (its pending cause is a full
-  // packet) and the validation hash. The ACK train is empty between
-  // events.
-  void state(util::StateIO& io) {
-    io.pod(rcv_next_);
-    io.pod(delivered_hash_);
-    io.pod_sequence(above_);
-    io.pod_sequence(sack_blocks_);
-    io.obj(delack_timer_);
-    io.pod(unacked_segments_);
-    io.obj(pending_cause_);
-    io.pod(has_pending_cause_);
-    io.pod(stats_);
-  }
   // Current SACK blocks, recency-ordered (validation layer inspects their
   // structure: disjoint, above the cumulative ACK point).
   const std::list<net::SackBlock>& sack_blocks() const { return sack_blocks_; }

@@ -123,27 +123,10 @@ class SenderBase : public net::Agent {
     TCPPR_CHECK(!started_);
     sched_override_ = &shard;
   }
-  // Mid-run shard migration (adaptive repartitioning): re-points a RUNNING
-  // sender at its new owner shard. Timers switch with armed flags intact
-  // and stale ids dropped; the state() restore pass that follows re-seats
-  // every physical shot into the new shard. Variants with timers override
-  // and chain up.
-  virtual void migrate_to_shard(sim::Scheduler& shard) {
-    sched_override_ = &shard;
-  }
   virtual double cwnd() const = 0;
   // Name of the variant, for experiment tables.
   virtual const char* algorithm() const = 0;
 
-  // Checkpoint/rollback visitor (util/state_io.hpp): every member that
-  // defines the sender's forward trajectory. Variants override and chain
-  // up. The burst staging area is empty between events and the callbacks/
-  // probes are wiring, not state.
-  virtual void state(util::StateIO& io) {
-    io.pod(stats_);
-    io.pod(started_);
-    io.pod(complete_);
-  }
   // Invariant snapshot for src/validate; the default (valid == false)
   // means "nothing to check". Safe to call between scheduler events only.
   virtual SenderInvariantView invariant_view() const { return {}; }

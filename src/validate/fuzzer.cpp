@@ -72,23 +72,7 @@ FuzzCase sample_fuzz_case(std::uint64_t seed) {
   c.churn_kind = static_cast<int>(rng.uniform_int(3));
   // Telemetry draws after churn: same seed-prefix rule, next dimension.
   c.telemetry = rng.bernoulli(0.35);
-  // Engine mode draws after telemetry: same seed-prefix rule, newest
-  // dimension last. Only observable when the case runs with par_lps >= 1.
-  c.engine_mode = static_cast<int>(rng.uniform_int(3));
   return c;
-}
-
-const char* engine_mode_name(int mode) {
-  switch (mode) {
-    case 1:
-      return "adaptive";
-    case 2:
-      return "optimistic";
-    case 3:  // never sampled; forced by --engine adaptive+optimistic
-      return "adaptive+optimistic";
-    default:
-      return "conservative";
-  }
 }
 
 std::string describe(const FuzzCase& c) {
@@ -116,12 +100,12 @@ std::string describe(const FuzzCase& c) {
       "topology=%s flows=%d variants=[%s] dur=%.2fs cross=%d loss=%.4f "
       "jitter=%.1fms flap=%d(up=%.2fs,down=%.2fs) reconf=%d eps=%g nodes=%d "
       "batch=%d "
-      "queue=%s par=%d churn=%s telemetry=%d engine=%s",
+      "queue=%s par=%d churn=%s telemetry=%d",
       to_string(c.topology), c.flows, variants.c_str(), c.duration_s,
       c.cross_traffic ? 1 : 0, c.loss_rate, c.jitter_ms, c.flap ? 1 : 0,
       c.flap_mean_up_s, c.flap_mean_down_s, c.reconfigure_mid_run ? 1 : 0,
       c.epsilon, c.graph_nodes, c.batching ? 1 : 0, queue, c.par_lps, churn,
-      c.telemetry ? 1 : 0, engine_mode_name(c.engine_mode));
+      c.telemetry ? 1 : 0);
   return buf;
 }
 
@@ -303,9 +287,6 @@ FuzzResult run_fuzz_case(const FuzzCase& c) {
   if (c.par_lps >= 1) {
     harness::ParallelRunConfig pc;
     pc.lps = c.par_lps;
-    pc.adaptive = c.engine_mode == 1 || c.engine_mode == 3;
-    pc.optimistic = c.engine_mode == 2 || c.engine_mode == 3;
-    pc.corrupt_snapshot_for_test = c.corrupt_snapshot_for_test;
     psim = std::make_unique<harness::ParallelSim>(s, pc);
     psim->set_checker(&checker);
   }
@@ -395,17 +376,7 @@ FuzzCase minimize_fuzz_case(const FuzzCase& failing, int max_runs) {
   bool changed = true;
   while (changed && runs < max_runs) {
     changed = false;
-    // Engine mode first: dropping back to conservative barriers removes
-    // speculation and migration from the picture entirely, so a failure
-    // that survives was never an optimism/repartition bug and every later
-    // simplification runs under the simplest engine.
-    FuzzCase e = best;
-    if (best.engine_mode != 0) {
-      e.engine_mode = 0;
-      e.corrupt_snapshot_for_test = false;
-      if (still_fails(e)) { best = e; changed = true; continue; }
-    }
-    // Telemetry next: it is pure observation, so a failure that survives
+    // Telemetry first: it is pure observation, so a failure that survives
     // without it was never a telemetry bug and every later simplification
     // runs cheaper.
     FuzzCase t = best;
@@ -466,8 +437,7 @@ FuzzCase minimize_fuzz_case(const FuzzCase& failing, int max_runs) {
 
 int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
                       bool quiet, const std::string& artifact_dir,
-                      sim::SchedulerBackend backend, int par_lps,
-                      int engine_mode) {
+                      sim::SchedulerBackend backend, int par_lps) {
   struct CellResult {
     bool ok = true;
     std::string failure;
@@ -478,7 +448,6 @@ int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
     FuzzCase c = sample_fuzz_case(seed);
     c.backend = backend;
     c.par_lps = par_lps;
-    if (engine_mode >= 0) c.engine_mode = engine_mode;
     const FuzzResult r = run_fuzz_case(c);
     if (!r.ok) {
       results[static_cast<std::size_t>(i)].ok = false;
@@ -495,7 +464,6 @@ int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
     FuzzCase c = sample_fuzz_case(seed);
     c.backend = backend;
     c.par_lps = par_lps;
-    if (engine_mode >= 0) c.engine_mode = engine_mode;
     std::fprintf(stderr, "FUZZ FAIL: tcppr_sim --fuzz-seed %llu  # %s\n",
                  static_cast<unsigned long long>(seed), describe(c).c_str());
     std::fprintf(stderr, "  first violation: %s\n",

@@ -55,16 +55,6 @@ struct FuzzCase {
   // AFTER churn (the seed-prefix rule above: seeds 1..N still expand to
   // the cases they produced before this dimension existed).
   bool telemetry = false;
-  // Parallel engine mode (0 = conservative barriers, 1 = adaptive
-  // repartitioning, 2 = bounded-optimism speculation). Sampled AFTER
-  // telemetry — the newest dimension, drawn last so the seed-prefix rule
-  // keeps every older seed expanding to the case it always produced. The
-  // mode only matters when par_lps >= 1 (sequential runs have no engine);
-  // all three modes must produce the identical delivery hash, so the
-  // fuzzer sweeping them is a free differential oracle. Mode 3
-  // (adaptive+optimistic combined) is never sampled but can be forced by
-  // the campaign override / --engine.
-  int engine_mode = 0;
   // Scheduler backend the scenario runs on. Never sampled (every backend
   // must produce identical trajectories, so sampling it would add nothing);
   // set explicitly by the backend-equivalence tests and --queue.
@@ -87,11 +77,6 @@ struct FuzzCase {
   bool corrupt_transit_for_test = false;
   bool corrupt_delivery_for_test = false;
   bool corrupt_telemetry_for_test = false;  // requires telemetry = true
-  // Flips one validating receiver's delivery hash on restore from the
-  // first optimistic rollback (ParallelRunConfig::corrupt_snapshot_for_test);
-  // requires engine_mode = 2 and par_lps >= 2 plus a case that actually
-  // speculates and rolls back.
-  bool corrupt_snapshot_for_test = false;
 };
 
 const char* to_string(FuzzCase::Topology topology);
@@ -130,13 +115,10 @@ FuzzCase minimize_fuzz_case(const FuzzCase& failing, int max_runs = 40);
 // carries its own repro.
 // Every sampled case runs on `backend` and `par_lps` logical processes
 // (the sampler itself never varies either — see the FuzzCase fields).
-// `engine_mode` = -1 keeps each case's sampled mode; 0/1/2 force
-// conservative/adaptive/optimistic for the whole campaign (nightly runs
-// one campaign per forced mode).
 int run_fuzz_campaign(
     std::uint64_t first_seed, int count, int jobs, bool quiet = false,
     const std::string& artifact_dir = "",
     sim::SchedulerBackend backend = sim::SchedulerBackend::kBinaryHeap,
-    int par_lps = 0, int engine_mode = -1);
+    int par_lps = 0);
 
 }  // namespace tcppr::validate

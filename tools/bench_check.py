@@ -10,8 +10,8 @@ Gated benchmarks — the engine cost centers this repo optimizes:
     BM_SchedulerCancel          lazy-cancellation path
     BM_DumbbellSimulation/*     end-to-end simulation throughput
     BM_ScaleFlowsParallel/*     parallel (multi-LP) harness throughput
-    BM_ScaleFlowsEngine/*       engine modes on the clustered mesh, plus
-                                the optimistic speedup + efficiency gates
+    BM_ScaleFlowsEngine/*       conservative engine on the clustered mesh,
+                                plus the parallel-efficiency gate
     BM_BatchDelivery/*          batched vs unbatched forwarding hot path
     BM_ScaleFlowsDumbbell/*     many-flow dumbbell, batched + unbatched rows
     BM_ScaleFlowsChurn/*        dynamic flow lifecycle churn sweep
@@ -113,18 +113,14 @@ MILLION_MIN_CONCURRENT = 1 << 20
 MILLION_BYTES_PER_SLOT_MAX = 128.0
 MILLION_PEAK_RSS_MAX = 12.5e9
 
-# Parallel engine-mode rows (BM_ScaleFlowsEngine): the low-lookahead
-# clustered mesh where the conservative barrier is the bottleneck. Both
-# gates are same-run ratios, so no machine calibration is involved.
-# Bounded optimism must beat conservative barriers by the acceptance
-# factor on any runner (even single-core: the win is windows-count, not
-# threads). The parallel-efficiency floor additionally divides the
-# optimistic 4-LP row against the canonical 1-LP run — meaningful only
-# with as many cores as LPs, so it is skipped on smaller runners.
-ENGINE_SPEEDUP_PAIR = ("BM_ScaleFlowsEngine/lps:4/mode:2",
-                       "BM_ScaleFlowsEngine/lps:4/mode:0")
-ENGINE_MIN_SPEEDUP = 1.3
-ENGINE_CANONICAL_ROW = "BM_ScaleFlowsEngine/lps:1/mode:0"
+# Parallel engine rows (BM_ScaleFlowsEngine): the low-lookahead clustered
+# mesh where the conservative barrier is the bottleneck. The
+# parallel-efficiency floor divides the 4-LP row against the canonical
+# 1-LP run from the same report, so no machine calibration is involved —
+# meaningful only with as many cores as LPs, so it is skipped on smaller
+# runners.
+ENGINE_PARALLEL_ROW = "BM_ScaleFlowsEngine/lps:4"
+ENGINE_CANONICAL_ROW = "BM_ScaleFlowsEngine/lps:1"
 ENGINE_EFFICIENCY_FLOOR = 0.25  # speedup over 1-LP / LP count
 
 # Telemetry tap overhead: both ratios compare rows from the same run, so
@@ -334,43 +330,32 @@ def check_million(current, counters):
 
 
 def check_engine(current):
-    """Gates the engine-mode rows on same-run ratios.
+    """Gates the 4-LP engine row's parallel efficiency.
 
-    The optimistic row must hold the acceptance speedup over the
-    conservative row (same flows, same LP count, same plant). On runners
-    with at least as many cores as LPs, the optimistic row must also
-    clear the parallel-efficiency floor against the canonical 1-LP row.
-    Absent rows are not failures (e.g. a --filter'd rerun); the wall-time
-    MISSING logic catches a gated row that silently disappeared. Returns
-    a list of failure descriptions.
+    On runners with at least as many cores as LPs, the conservative 4-LP
+    row must clear the parallel-efficiency floor against the canonical
+    1-LP row. Absent rows are not failures (e.g. a --filter'd rerun); the
+    wall-time MISSING logic catches a gated row that silently disappeared.
+    Returns a list of failure descriptions.
     """
     failures = []
-    optimistic, conservative = ENGINE_SPEEDUP_PAIR
-    if optimistic in current and conservative in current:
-        speedup = current[conservative] / current[optimistic]
-        if speedup < ENGINE_MIN_SPEEDUP:
-            print(f"  FAILED   optimistic-vs-conservative engine speedup "
-                  f"{speedup:.2f}x < {ENGINE_MIN_SPEEDUP}x")
-            failures.append(f"engine speedup {speedup:.2f}x")
-        else:
-            print(f"  OK       optimistic-vs-conservative engine speedup "
-                  f"{speedup:.2f}x (>= {ENGINE_MIN_SPEEDUP}x)")
-    lps = benchmark_threads(optimistic, {})
-    if optimistic in current and ENGINE_CANONICAL_ROW in current:
-        if runner_cpus() < lps:
-            print(f"  SKIPPED  parallel-efficiency floor (needs {lps} "
-                  f"cores, runner has {runner_cpus()})")
-        else:
-            efficiency = (current[ENGINE_CANONICAL_ROW] /
-                          current[optimistic] / lps)
-            if efficiency < ENGINE_EFFICIENCY_FLOOR:
-                print(f"  FAILED   parallel efficiency {efficiency:.2f} "
-                      f"< {ENGINE_EFFICIENCY_FLOOR} "
-                      f"({lps} LPs vs canonical 1-LP row)")
-                failures.append(f"parallel efficiency {efficiency:.2f}")
-            else:
-                print(f"  OK       parallel efficiency {efficiency:.2f} "
-                      f"(>= {ENGINE_EFFICIENCY_FLOOR} at {lps} LPs)")
+    row = ENGINE_PARALLEL_ROW
+    if row not in current or ENGINE_CANONICAL_ROW not in current:
+        return failures
+    lps = benchmark_threads(row, {})
+    if runner_cpus() < lps:
+        print(f"  SKIPPED  parallel-efficiency floor (needs {lps} "
+              f"cores, runner has {runner_cpus()})")
+        return failures
+    efficiency = current[ENGINE_CANONICAL_ROW] / current[row] / lps
+    if efficiency < ENGINE_EFFICIENCY_FLOOR:
+        print(f"  FAILED   parallel efficiency {efficiency:.2f} "
+              f"< {ENGINE_EFFICIENCY_FLOOR} "
+              f"({lps} LPs vs canonical 1-LP row)")
+        failures.append(f"parallel efficiency {efficiency:.2f}")
+    else:
+        print(f"  OK       parallel efficiency {efficiency:.2f} "
+              f"(>= {ENGINE_EFFICIENCY_FLOOR} at {lps} LPs)")
     return failures
 
 

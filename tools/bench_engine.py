@@ -66,9 +66,9 @@ RATIO_GROUPS = [
     ("scale_flows", r"BM_ScaleFlowsDumbbell/flows:4096/backend:0/batch:[01]$"),
     # telemetry tap overhead vs the untapped forwarding loop
     ("micro_engine", r"BM_TelemetryTap/[01]$|BM_PacketForwardLoop$"),
-    # optimistic-vs-conservative engine speedup on the clustered mesh
-    # (plus the 1-LP canonical row the parallel-efficiency floor divides by)
-    ("scale_flows", r"BM_ScaleFlowsEngine/lps:[14]/mode:[0123]$"),
+    # parallel-efficiency floor: 4-LP vs 1-LP conservative engine rows on
+    # the clustered mesh
+    ("scale_flows", r"BM_ScaleFlowsEngine/lps:[14]$"),
 ]
 SPEEDUP_PAIR_REPS = 5
 SPEEDUP_PAIR_FLAGS = [

@@ -11,12 +11,16 @@
 //   tcppr_sim --validate --topology dumbbell         # run under the checker
 //   tcppr_sim --fuzz 100 --jobs 4                    # fuzz seeds 1..100
 //   tcppr_sim --fuzz-seed 42                         # replay one fuzz case
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "harness/experiment.hpp"
 #include "harness/parallel_run.hpp"
@@ -63,9 +67,6 @@ struct Args {
   std::size_t expect_concurrent = 0;
   bool no_batch = false;  // run the unbatched one-event-per-op engine
   int par = 0;  // 0 = sequential, >= 1 = parallel harness with N LPs
-  // Parallel engine mode; empty = conservative (and "as sampled" for fuzz
-  // runs, where the mode is a sampled dimension).
-  std::string engine;
   int fuzz_count = 0;
   std::optional<std::uint64_t> fuzz_seed;
   int jobs = 1;
@@ -77,24 +78,6 @@ std::optional<sim::SchedulerBackend> parse_backend(const std::string& name) {
   if (name == "calendar") return sim::SchedulerBackend::kCalendarQueue;
   if (name == "wheel") return sim::SchedulerBackend::kTimingWheel;
   return std::nullopt;
-}
-
-// Engine mode encoding shared with validate::FuzzCase::engine_mode:
-// 0 conservative, 1 adaptive, 2 optimistic, 3 both.
-std::optional<int> parse_engine(const std::string& name) {
-  if (name.empty() || name == "conservative") return 0;
-  if (name == "adaptive") return 1;
-  if (name == "optimistic") return 2;
-  if (name == "adaptive+optimistic" || name == "optimistic+adaptive") {
-    return 3;
-  }
-  return std::nullopt;
-}
-
-const char* engine_name(int mode) {
-  static const char* names[] = {"conservative", "adaptive", "optimistic",
-                                "adaptive+optimistic"};
-  return names[mode & 3];
 }
 
 std::optional<TcpVariant> parse_variant(const std::string& name) {
@@ -164,17 +147,55 @@ void usage() {
       "  --par <n>             run on n parallel scheduler shards (LPs);\n"
       "                        byte-identical to the sequential run. Also\n"
       "                        applies to --fuzz and --fuzz-seed runs\n"
-      "  --engine <mode>       parallel engine mode with --par:\n"
-      "                        conservative|adaptive|optimistic|\n"
-      "                        adaptive+optimistic (default conservative;\n"
-      "                        all modes are byte-identical). For --fuzz\n"
-      "                        and --fuzz-seed it overrides the sampled\n"
-      "                        engine-mode dimension\n"
       "  --fuzz <n>            fuzz campaign over seeds [--seed, --seed+n)\n"
       "  --fuzz-seed <n>       replay one fuzz case under the checker\n"
       "  --fuzz-artifacts <dir>  write per-seed reproducer files for\n"
       "                        failing fuzz seeds into <dir>\n"
       "  --jobs <j>            fuzz campaign worker threads (default 1)\n");
+}
+
+// A malformed value is a usage error: message on stderr, exit 2. Never an
+// abort, never a silent zero.
+[[noreturn]] void usage_error(const std::string& flag, const char* value,
+                              const char* expected) {
+  if (value == nullptr) {
+    std::fprintf(stderr, "tcppr_sim: %s needs a value: %s (try --help)\n",
+                 flag.c_str(), expected);
+  } else {
+    std::fprintf(stderr, "tcppr_sim: bad value '%s' for %s: expected %s "
+                 "(try --help)\n", value, flag.c_str(), expected);
+  }
+  std::exit(2);
+}
+
+// The one checked number parse behind every numeric flag: the whole token
+// must be a finite T that `ok` accepts.
+template <typename T, typename Ok>
+T parse_number(const std::string& flag, const char* value, Ok ok,
+               const char* expected) {
+  if (value == nullptr) usage_error(flag, value, expected);
+  char* end = nullptr;
+  errno = 0;
+  T v{};
+  bool in_range = true;
+  if constexpr (std::is_floating_point_v<T>) {
+    v = std::strtod(value, &end);
+    in_range = std::isfinite(v);
+  } else if constexpr (std::is_signed_v<T>) {
+    const long long x = std::strtoll(value, &end, 10);
+    in_range = x >= std::numeric_limits<T>::min() &&
+               x <= std::numeric_limits<T>::max();
+    v = static_cast<T>(x);
+  } else {
+    // strtoull wraps a minus sign instead of rejecting it.
+    in_range = std::strchr(value, '-') == nullptr;
+    v = static_cast<T>(std::strtoull(value, &end, 10));
+  }
+  if (end == value || *end != '\0' || errno == ERANGE || !in_range ||
+      !ok(v)) {
+    usage_error(flag, value, expected);
+  }
+  return v;
 }
 
 bool parse(int argc, char** argv, Args& args) {
@@ -183,76 +204,95 @@ bool parse(int argc, char** argv, Args& args) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    const auto text = [&] {
+      const char* v = next();
+      if (v == nullptr) usage_error(flag, v, "a name or path");
+      return std::string(v);
+    };
+    const auto real = [&](auto ok, const char* expected) {
+      return parse_number<double>(flag, next(), ok, expected);
+    };
+    const auto count = [&](int min) {
+      return parse_number<int>(
+          flag, next(), [min](int v) { return v >= min; },
+          min == 0 ? "an integer >= 0" : "an integer >= 1");
+    };
+    const auto u64 = [&] {
+      return parse_number<std::uint64_t>(
+          flag, next(), [](std::uint64_t) { return true; },
+          "a non-negative integer");
+    };
+    const auto positive = [](double v) { return v > 0; };
+    const auto non_negative = [](double v) { return v >= 0; };
     if (flag == "--help" || flag == "-h") {
       usage();
       std::exit(0);
     } else if (flag == "--topology") {
-      args.topology = next();
+      args.topology = text();
     } else if (flag == "--variant") {
-      args.variant = next();
+      args.variant = text();
     } else if (flag == "--queue") {
-      args.queue = next();
+      args.queue = text();
     } else if (flag == "--flows") {
-      args.flows = std::atoi(next());
+      args.flows = count(1);
     } else if (flag == "--fan-width") {
-      args.fan_width = std::atoi(next());
+      args.fan_width = count(1);
     } else if (flag == "--pr-fraction") {
-      args.pr_fraction = std::atof(next());
+      args.pr_fraction = real([](double v) { return v >= 0 && v <= 1; },
+                              "a number in [0, 1]");
     } else if (flag == "--epsilon") {
-      args.epsilon = std::atof(next());
+      args.epsilon = real(non_negative, "a number >= 0");
     } else if (flag == "--pr-flows") {
-      args.pr_flows = std::atoi(next());
+      args.pr_flows = count(0);
     } else if (flag == "--sack-flows") {
-      args.sack_flows = std::atoi(next());
+      args.sack_flows = count(0);
     } else if (flag == "--duration") {
-      args.duration_s = std::atof(next());
+      args.duration_s = real(positive, "seconds > 0");
     } else if (flag == "--measured") {
-      args.measured_s = std::atof(next());
+      args.measured_s = real(non_negative, "seconds >= 0");
     } else if (flag == "--bottleneck") {
-      args.bottleneck_mbps = std::atof(next());
+      args.bottleneck_mbps = real(positive, "Mbps > 0");
     } else if (flag == "--delay") {
-      args.link_delay_ms = std::atof(next());
+      args.link_delay_ms = real(positive, "milliseconds > 0");
     } else if (flag == "--alpha") {
-      args.alpha = std::atof(next());
+      args.alpha = real([](double v) { return v > 0 && v < 1; },
+                        "a number in (0, 1)");
     } else if (flag == "--beta") {
-      args.beta = std::atof(next());
+      args.beta = real(positive, "a number > 0");
     } else if (flag == "--seed") {
-      args.seed = std::strtoull(next(), nullptr, 10);
+      args.seed = u64();
     } else if (flag == "--trace") {
-      args.trace_path = next();
+      args.trace_path = text();
     } else if (flag == "--ts-out") {
-      args.ts_out = next();
+      args.ts_out = text();
     } else if (flag == "--ts-interval") {
-      args.ts_interval_s = std::atof(next());
+      args.ts_interval_s = real(positive, "seconds > 0");
     } else if (flag == "--validate") {
       args.validate = true;
     } else if (flag == "--telemetry") {
       args.telemetry = true;
     } else if (flag == "--workload") {
-      args.workload = next();
+      args.workload = text();
     } else if (flag == "--arrival-rate") {
-      args.arrival_rate = std::atof(next());
+      args.arrival_rate = real(positive, "arrivals per second > 0");
     } else if (flag == "--max-concurrent") {
-      args.max_concurrent = std::atoi(next());
+      args.max_concurrent = count(1);
     } else if (flag == "--id-slots") {
-      args.id_slots = std::atoi(next());
+      args.id_slots = count(1);
     } else if (flag == "--expect-concurrent") {
-      args.expect_concurrent =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      args.expect_concurrent = static_cast<std::size_t>(count(1));
     } else if (flag == "--no-batch") {
       args.no_batch = true;
     } else if (flag == "--par") {
-      args.par = std::atoi(next());
-    } else if (flag == "--engine") {
-      args.engine = next();
+      args.par = count(1);
     } else if (flag == "--fuzz") {
-      args.fuzz_count = std::atoi(next());
+      args.fuzz_count = count(1);
     } else if (flag == "--fuzz-seed") {
-      args.fuzz_seed = std::strtoull(next(), nullptr, 10);
+      args.fuzz_seed = u64();
     } else if (flag == "--fuzz-artifacts") {
-      args.fuzz_artifacts = next();
+      args.fuzz_artifacts = text();
     } else if (flag == "--jobs") {
-      args.jobs = std::atoi(next());
+      args.jobs = count(1);
     } else {
       std::fprintf(stderr, "unknown flag %s (try --help)\n", flag.c_str());
       return false;
@@ -366,21 +406,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto engine_mode = parse_engine(args.engine);
-  if (!engine_mode) {
-    std::fprintf(stderr,
-                 "unknown engine mode %s "
-                 "(conservative|adaptive|optimistic|adaptive+optimistic)\n",
-                 args.engine.c_str());
-    return 1;
-  }
-
   if (args.fuzz_seed) {
     auto c = validate::sample_fuzz_case(*args.fuzz_seed);
     c.backend = *backend;
     c.par_lps = args.par;
     c.batching = !args.no_batch;
-    if (!args.engine.empty()) c.engine_mode = *engine_mode;
     std::printf("fuzz seed %llu: %s\n",
                 static_cast<unsigned long long>(*args.fuzz_seed),
                 validate::describe(c).c_str());
@@ -401,8 +431,7 @@ int main(int argc, char** argv) {
   if (args.fuzz_count > 0) {
     const int failures = validate::run_fuzz_campaign(
         args.seed, args.fuzz_count, args.jobs, /*quiet=*/false,
-        args.fuzz_artifacts, *backend, args.par,
-        args.engine.empty() ? -1 : *engine_mode);
+        args.fuzz_artifacts, *backend, args.par);
     std::printf("fuzz: %d/%d seeds clean\n", args.fuzz_count - failures,
                 args.fuzz_count);
     return failures == 0 ? 0 : 1;
@@ -476,8 +505,6 @@ int main(int argc, char** argv) {
   if (args.par >= 1) {
     harness::ParallelRunConfig pc;
     pc.lps = args.par;
-    pc.adaptive = *engine_mode == 1 || *engine_mode == 3;
-    pc.optimistic = *engine_mode == 2 || *engine_mode == 3;
     psim = std::make_unique<harness::ParallelSim>(*scenario, pc);
     if (checker) psim->set_checker(checker.get());
   } else if (checker) {
@@ -530,33 +557,22 @@ int main(int argc, char** argv) {
               args.topology.c_str(), args.queue.c_str(), args.duration_s,
               args.measured_s, static_cast<unsigned long long>(args.seed));
   if (psim) {
-    std::printf("parallel: %d LPs (%d requested), engine=%s, %llu windows, "
+    std::printf("parallel: %d LPs (%d requested), %llu windows, "
                 "%llu cross-LP packets\n",
-                psim->lp_count(), args.par, engine_name(*engine_mode),
+                psim->lp_count(), args.par,
                 static_cast<unsigned long long>(psim->windows()),
                 static_cast<unsigned long long>(psim->exchanged()));
-    if (*engine_mode != 0) {
-      std::printf("  engine: %llu spec windows (%llu rolled back, "
-                  "%llu LP rollbacks), %llu repartitions, W=%.0fus\n",
-                  static_cast<unsigned long long>(psim->spec_windows()),
-                  static_cast<unsigned long long>(psim->rollback_windows()),
-                  static_cast<unsigned long long>(psim->rollbacks()),
-                  static_cast<unsigned long long>(psim->repartitions()),
-                  static_cast<double>(psim->speculation_w().as_nanos()) / 1e3);
-    }
-    // Per-LP barrier report: window utilization against the busiest LP,
-    // cross-LP traffic sourced at each LP, and the optimism footprint.
+    // Per-LP barrier report: window utilization against the busiest LP
+    // and cross-LP traffic sourced at each LP.
     const auto reports = psim->lp_reports();
-    std::printf("  %-4s %12s %6s %12s %10s %10s\n", "lp", "events", "util",
-                "cross-LP", "rollbacks", "snap (B)");
+    std::printf("  %-4s %12s %6s %12s\n", "lp", "events", "util",
+                "cross-LP");
     for (std::size_t i = 0; i < reports.size(); ++i) {
       const auto& r = reports[i];
-      std::printf("  %-4zu %12llu %5.1f%% %12llu %10llu %10llu\n", i,
+      std::printf("  %-4zu %12llu %5.1f%% %12llu\n", i,
                   static_cast<unsigned long long>(r.events),
                   100.0 * r.utilization,
-                  static_cast<unsigned long long>(r.cross_pushed),
-                  static_cast<unsigned long long>(r.rollbacks),
-                  static_cast<unsigned long long>(r.snapshot_bytes));
+                  static_cast<unsigned long long>(r.cross_pushed));
     }
     if (series_sink) {
       psim->publish_metrics(registry,
