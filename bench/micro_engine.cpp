@@ -49,17 +49,13 @@ BENCHMARK(BM_SchedulerCancel);
 
 // Timer churn against a live population: randomized cancel + reschedule,
 // the access pattern TCP RTO restarts generate. Unlike
-// BM_SchedulerScheduleRun the pushes are not monotone, so the heap backend
-// runs in full heap mode rather than the sorted-append fast path.
-// Arg: 0 = binary heap, 1 = calendar queue.
-void BM_SchedulerChurnBackend(benchmark::State& state) {
-  const auto backend = state.range(0) == 0
-                           ? sim::SchedulerBackend::kBinaryHeap
-                           : sim::SchedulerBackend::kCalendarQueue;
+// BM_SchedulerScheduleRun the pushes are not monotone, so the heap runs in
+// full heap mode rather than the sorted-append fast path.
+void BM_SchedulerChurn(benchmark::State& state) {
   constexpr int kLive = 4096;
   constexpr int kChurn = 100000;
   for (auto _ : state) {
-    sim::Scheduler sched(backend);
+    sim::Scheduler sched;
     sim::Rng rng(1234);
     std::vector<sim::EventId> live;
     live.reserve(kLive);
@@ -78,7 +74,7 @@ void BM_SchedulerChurnBackend(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kChurn);
 }
-BENCHMARK(BM_SchedulerChurnBackend)->Arg(0)->Arg(1);
+BENCHMARK(BM_SchedulerChurn);
 
 // Steady-state forwarding: a burst of packets crossing a three-hop chain
 // with no transport on top. Exercises the per-hop path in isolation —

@@ -1,19 +1,15 @@
 // Many-flow scale benchmarks (google-benchmark): how simulation cost grows
-// with the live flow count, per scheduler backend.
+// with the live flow count.
 //
 // Two layers:
 //   - BM_ScaleFlowsScheduler: the classic hold-model event-queue benchmark
 //     sized like an N-flow run (one pending deadline timer per flow plus a
 //     few in-flight packet events). Scheduler-bound by construction, so it
-//     isolates the backend: the binary heap pays O(log N) per operation
-//     against a live population of N, the calendar queue and timing wheel
-//     are amortized O(1).
+//     isolates the heap's O(log N) per operation against a live population
+//     of N.
 //   - BM_ScaleFlowsDumbbell: end-to-end many-flow dumbbell simulation
 //     (make_many_flows), where TCP processing and packet forwarding dilute
 //     the event-queue share.
-//
-// Second benchmark argument selects the backend: 0 = heap, 1 = calendar,
-// 2 = wheel.
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
@@ -42,17 +38,6 @@ std::size_t peak_rss_bytes() {
   return static_cast<std::size_t>(ru.ru_maxrss) * 1024;
 }
 
-sim::SchedulerBackend backend_arg(const benchmark::State& state) {
-  switch (state.range(1)) {
-    case 1:
-      return sim::SchedulerBackend::kCalendarQueue;
-    case 2:
-      return sim::SchedulerBackend::kTimingWheel;
-    default:
-      return sim::SchedulerBackend::kBinaryHeap;
-  }
-}
-
 // Hold model over a live population of N "flows": each pop reschedules
 // itself a pseudo-random interval ahead, holding the population constant —
 // the steady state of N flows each keeping a drop-deadline timer armed.
@@ -60,10 +45,9 @@ sim::SchedulerBackend backend_arg(const benchmark::State& state) {
 // actually schedule in.
 void BM_ScaleFlowsScheduler(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
-  const auto backend = backend_arg(state);
   constexpr int kOpsPerIteration = 200000;
   for (auto _ : state) {
-    sim::Scheduler sched(backend);
+    sim::Scheduler sched;
     sim::Rng rng(99);
     int fired = 0;
     std::function<void()> hold = [&] {
@@ -86,24 +70,26 @@ void BM_ScaleFlowsScheduler(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kOpsPerIteration);
 }
 BENCHMARK(BM_ScaleFlowsScheduler)
-    ->ArgsProduct({{16, 256, 1024, 4096}, {0, 1, 2}})
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 // End-to-end: N-flow dumbbell for two simulated seconds. Bottleneck
 // bandwidth scales with N (constant per-flow share), so the event rate —
 // and the live timer population — grow linearly with the flow count.
-// Third argument toggles the batched hot path (0 = per-packet events,
+// Second argument toggles the batched hot path (0 = per-packet events,
 // 1 = link-pump carrier events); the events_per_packet counter reports
 // scheduler events per delivered packet, the metric batching collapses.
 void BM_ScaleFlowsDumbbell(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
-  const bool batching = state.range(2) != 0;
+  const bool batching = state.range(1) != 0;
   std::uint64_t events = 0;
   std::uint64_t delivered = 0;
   for (auto _ : state) {
     harness::ManyFlowsConfig config;
     config.flows = flows;
-    config.backend = backend_arg(state);
     // Sampled once at Network construction (inside make_many_flows);
     // restore the process default right after the build.
     net::set_hot_path_batching(batching);
@@ -118,31 +104,16 @@ void BM_ScaleFlowsDumbbell(benchmark::State& state) {
       delivered ? static_cast<double>(events) / static_cast<double>(delivered)
                 : 0.0;
 }
+// Batched and unbatched rows side by side: the gap at the same flow count
+// is the batched hot path's end-to-end win, recorded in BENCH_engine.json.
+// 4096 flows is the ceiling the builder supports.
 BENCHMARK(BM_ScaleFlowsDumbbell)
-    ->ArgNames({"flows", "backend", "batch"})
-    ->ArgsProduct({{16, 256, 1024}, {0, 1, 2}, {1}})
-    ->Unit(benchmark::kMillisecond);
-
-// Unbatched reference rows (heap backend): the batched/unbatched gap at
-// the same flow count is the end-to-end win the tentpole claims, recorded
-// side by side in BENCH_engine.json.
-BENCHMARK(BM_ScaleFlowsDumbbell)
-    ->ArgNames({"flows", "backend", "batch"})
-    ->ArgsProduct({{16, 256, 1024}, {0}, {0}})
-    ->Unit(benchmark::kMillisecond);
-
-// 4096 flows is the ceiling the builder supports; one backend pair plus
-// the unbatched reference is enough to extend the scaling curve without a
-// combinatorial blowup in bench time.
-BENCHMARK(BM_ScaleFlowsDumbbell)
-    ->ArgNames({"flows", "backend", "batch"})
-    ->Args({4096, 0, 1})
-    ->Args({4096, 2, 1})
-    ->Args({4096, 0, 0})
+    ->ArgNames({"flows", "batch"})
+    ->ArgsProduct({{16, 256, 1024, 4096}, {1, 0}})
     ->Unit(benchmark::kMillisecond);
 
 // Sequential-vs-parallel rows: the same N-flow dumbbell through the
-// parallel harness at 1/2/4/8 LPs (heap backend). lps:1 is the canonical
+// parallel harness at 1/2/4/8 LPs. lps:1 is the canonical
 // stamped one-shard run — its gap to BM_ScaleFlowsDumbbell is the pure
 // stamping overhead; lps >= 2 adds threads. Speedup only materializes with
 // as many cores as LPs; the regression gate skips lps > 1 rows on

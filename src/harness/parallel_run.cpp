@@ -49,7 +49,7 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
   tracing_ = nw.tracer().active();
   for (int lp = 0; lp < k; ++lp) {
     scenario_.lp_scheds.push_back(
-        std::make_unique<sim::Scheduler>(scenario_.backend));
+        std::make_unique<sim::Scheduler>());
     sim::Scheduler* shard = scenario_.lp_scheds.back().get();
     shard->enable_seq_stamping();
     shards_.push_back(shard);

@@ -7,12 +7,12 @@
 //   1. Partition the topology into LPs (harness/partition.hpp). When no
 //      positive-lookahead cut exists (lp_count() == 1) the scenario still
 //      runs — on a single stamped shard, sequentially.
-//   2. Create one Scheduler shard per LP (same backend as the scenario,
-//      seq-stamping enabled: event ties break in the canonical
-//      (schedule-time, owner node, op index) order, which is independent
-//      of the partition — any LP count, 1 included, executes the identical
-//      trajectory) and one PacketPool per LP (pools are not thread-safe;
-//      packets never share a pool across shards).
+//   2. Create one Scheduler shard per LP (seq-stamping enabled: event
+//      ties break in the canonical (schedule-time, owner node, op index)
+//      order, which is independent of the partition — any LP count, 1
+//      included, executes the identical trajectory) and one PacketPool per
+//      LP (pools are not thread-safe; packets never share a pool across
+//      shards).
 //   3. Re-point every node, link, sender and receiver at its LP's shard,
 //      pool and buffering tracer; cut links get a mailbox channel.
 //   4. Adopt the scenario's build-time events (flow starts, fault

@@ -49,13 +49,10 @@ std::unique_ptr<tcp::SenderBase> make_sender(
 // A built simulation: the scheduler, the network, and every endpoint.
 // Heap-only (internal references make it unmovable).
 struct Scenario {
-  explicit Scenario(
-      sim::SchedulerBackend backend = sim::SchedulerBackend::kBinaryHeap)
-      : backend(backend), sched(backend), network(sched) {}
+  Scenario() : network(sched) {}
   Scenario(const Scenario&) = delete;
   Scenario& operator=(const Scenario&) = delete;
 
-  sim::SchedulerBackend backend;
   sim::Scheduler sched;
   // Scheduler shards in parallel mode (populated by harness::ParallelSim;
   // empty in sequential runs). Owned by the Scenario and declared before
@@ -133,7 +130,6 @@ struct DumbbellConfig {
   core::TcpPrConfig pr;
   std::uint64_t seed = 1;
   sim::Duration max_start_stagger = sim::Duration::seconds(2);
-  sim::SchedulerBackend backend = sim::SchedulerBackend::kBinaryHeap;
 };
 
 std::unique_ptr<Scenario> make_dumbbell(const DumbbellConfig& config);
@@ -155,7 +151,6 @@ struct ParkingLotConfig {
   core::TcpPrConfig pr;
   std::uint64_t seed = 1;
   sim::Duration max_start_stagger = sim::Duration::seconds(2);
-  sim::SchedulerBackend backend = sim::SchedulerBackend::kBinaryHeap;
 };
 
 std::unique_ptr<Scenario> make_parking_lot(const ParkingLotConfig& config);
@@ -171,7 +166,6 @@ struct MultipathConfig {
   tcp::TcpConfig tcp;
   core::TcpPrConfig pr;
   std::uint64_t seed = 1;
-  sim::SchedulerBackend backend = sim::SchedulerBackend::kBinaryHeap;
 };
 
 std::unique_ptr<Scenario> make_multipath(const MultipathConfig& config);
@@ -207,6 +201,7 @@ struct ManyFlowsConfig {
   core::TcpPrConfig pr;
   std::uint64_t seed = 1;
   sim::Duration max_start_stagger = sim::Duration::seconds(2);
+  // Read by nothing; kept because perfbench/driver.cpp still assigns it.
   sim::SchedulerBackend backend = sim::SchedulerBackend::kBinaryHeap;
 };
 
@@ -245,6 +240,7 @@ struct FanDumbbellConfig {
   tcp::TcpConfig tcp;
   core::TcpPrConfig pr;
   std::uint64_t seed = 1;
+  // Read by nothing; kept because perfbench/driver.cpp still assigns it.
   sim::SchedulerBackend backend = sim::SchedulerBackend::kBinaryHeap;
 };
 
@@ -252,8 +248,7 @@ std::unique_ptr<Scenario> make_fan_dumbbell(const FanDumbbellConfig& config);
 
 // The tuned 2^20-concurrent-flow plant: RTT ~0.9-1.0 s across the fan
 // spread (which minimizes the aggregate event rate floor of
-// flows / RTT forced by cwnd >= 1), timing-wheel scheduler for the
-// multi-million pending-event population. Pair with
+// flows / RTT forced by cwnd >= 1). Pair with
 // workload::million_workload_config(flows).
 FanDumbbellConfig million_fan_config(int flows);
 
@@ -288,7 +283,6 @@ struct ClusteredMeshConfig {
   core::TcpPrConfig pr;
   std::uint64_t seed = 1;
   sim::Duration max_start_stagger = sim::Duration::seconds(1);
-  sim::SchedulerBackend backend = sim::SchedulerBackend::kBinaryHeap;
 
   // Pass to ParallelRunConfig::min_cut_lookahead so contraction keeps
   // clusters atomic and only the ring links are cut.

@@ -1,13 +1,8 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
-#include <limits>
 #include <new>
-#include <utility>
-
-#include "util/check.hpp"
 
 namespace tcppr::sim {
 
@@ -137,355 +132,6 @@ std::optional<QueuedEvent> HeapQueue::pop_min() {
     aux_[n + kPad] = last_aux;
   }
   return top;
-}
-
-CalendarQueue::CalendarQueue() : buckets_(16) {}
-
-std::size_t CalendarQueue::bucket_index(TimePoint t) const {
-  const std::int64_t ns = std::max<std::int64_t>(t.as_nanos(), 0);
-  return static_cast<std::size_t>((ns / width_ns_) %
-                                  static_cast<std::int64_t>(buckets_.size()));
-}
-
-void CalendarQueue::seat_cursor(TimePoint t) {
-  const TimePoint seat = std::max(t, TimePoint::origin());
-  current_ = bucket_index(seat);
-  year_start_ns_ = (seat.as_nanos() / width_ns_ -
-                    static_cast<std::int64_t>(current_)) *
-                   width_ns_;
-}
-
-void CalendarQueue::insert(const QueuedEvent& event) {
-  auto& bucket = buckets_[bucket_index(event.time)];
-  // Buckets are kept sorted descending so the earliest event is at the
-  // back (cheap pop); insertion scans from the back where near-future
-  // events cluster.
-  const auto pos = std::upper_bound(
-      bucket.begin(), bucket.end(), event,
-      [](const QueuedEvent& a, const QueuedEvent& b) { return b < a; });
-  bucket.insert(pos, event);
-}
-
-void CalendarQueue::push(const QueuedEvent& event) {
-  insert(event);
-  ++size_;
-  if (event.time < last_popped_) {
-    last_popped_ = std::max(event.time, TimePoint::origin());
-  }
-  // A push behind the scan cursor (peek_min advances the cursor without
-  // popping, so this is not covered by the last_popped_ check above):
-  // re-seat the scan so the minimum stays reachable in order.
-  const std::int64_t cursor_ns =
-      year_start_ns_ + static_cast<std::int64_t>(current_) * width_ns_;
-  if (event.time.as_nanos() < cursor_ns) {
-    seat_cursor(event.time);
-  }
-  if (size_ > 2 * buckets_.size() && buckets_.size() < (1u << 20)) {
-    resize(buckets_.size() * 2);
-  }
-}
-
-std::int64_t CalendarQueue::estimate_width() const {
-  // Average inter-event spacing over the pending population, clamped to a
-  // sane range: buckets should hold ~1 event of the current "year".
-  TimePoint lo = TimePoint::max();
-  TimePoint hi;
-  for (const auto& bucket : buckets_) {
-    for (const QueuedEvent& e : bucket) {
-      lo = std::min(lo, e.time);
-      hi = std::max(hi, e.time);
-    }
-  }
-  if (size_ < 2 || hi <= lo) return width_ns_;
-  const std::int64_t span = (hi - lo).as_nanos();
-  return std::clamp<std::int64_t>(span / static_cast<std::int64_t>(size_),
-                                  1'000, 1'000'000'000);
-}
-
-void CalendarQueue::resize(std::size_t new_bucket_count) {
-  std::vector<QueuedEvent> all;
-  all.reserve(size_);
-  for (auto& bucket : buckets_) {
-    all.insert(all.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-  width_ns_ = estimate_width();
-  buckets_.assign(new_bucket_count, {});
-  for (const QueuedEvent& e : all) insert(e);
-  // Reset the cursor to the bucket of the next event to pop.
-  last_popped_ = std::max(last_popped_, TimePoint::origin());
-  seat_cursor(last_popped_);
-}
-
-std::vector<QueuedEvent>* CalendarQueue::find_min_bucket() {
-  if (size_ == 0) return nullptr;
-
-  // Scan buckets from the cursor; an event belongs to the current pass
-  // when it falls inside this bucket's slice of the current year.
-  const std::size_t n = buckets_.size();
-  for (std::size_t scanned = 0; scanned < n; ++scanned) {
-    auto& bucket = buckets_[current_];
-    const std::int64_t slice_end =
-        year_start_ns_ +
-        (static_cast<std::int64_t>(current_) + 1) * width_ns_;
-    if (!bucket.empty() && bucket.back().time.as_nanos() < slice_end) {
-      return &bucket;
-    }
-    ++current_;
-    if (current_ == n) {
-      current_ = 0;
-      year_start_ns_ += static_cast<std::int64_t>(n) * width_ns_;
-    }
-  }
-
-  // Nothing in the coming year: jump straight to the global minimum
-  // (classic calendar-queue fallback for sparse horizons).
-  const QueuedEvent* min_event = nullptr;
-  for (const auto& bucket : buckets_) {
-    if (bucket.empty()) continue;
-    if (min_event == nullptr || bucket.back() < *min_event) {
-      min_event = &bucket.back();
-    }
-  }
-  TCPPR_CHECK(min_event != nullptr);
-  // Re-seat the cursor at the minimum's bucket/year; its bucket's back()
-  // is the minimum (buckets are sorted descending).
-  seat_cursor(min_event->time);
-  return &buckets_[bucket_index(min_event->time)];
-}
-
-std::optional<QueuedEvent> CalendarQueue::peek_min() {
-  const auto* bucket = find_min_bucket();
-  if (bucket == nullptr) return std::nullopt;
-  return bucket->back();
-}
-
-void CalendarQueue::clear() {
-  for (auto& bucket : buckets_) bucket.clear();
-  size_ = 0;
-}
-
-std::optional<QueuedEvent> CalendarQueue::pop_min() {
-  auto* bucket = find_min_bucket();
-  if (bucket == nullptr) return std::nullopt;
-  QueuedEvent event = bucket->back();
-  bucket->pop_back();
-  --size_;
-  last_popped_ = event.time;
-  if (size_ < buckets_.size() / 4 && buckets_.size() > 16) {
-    resize(buckets_.size() / 2);
-  }
-  return event;
-}
-
-TimingWheelQueue::TimingWheelQueue() : buckets_(kLevels * kSlots) {}
-
-std::size_t TimingWheelQueue::level_of(std::int64_t tick) const {
-  const std::uint64_t diff = static_cast<std::uint64_t>(tick) ^
-                             static_cast<std::uint64_t>(pos_);
-  if (diff == 0) return 0;
-  return static_cast<std::size_t>(std::bit_width(diff) - 1) / kLevelBits;
-}
-
-std::size_t TimingWheelQueue::first_occupied(std::size_t level) const {
-  for (std::size_t w = 0; w < kSlots / 64; ++w) {
-    const std::uint64_t word = occupied_[level][w];
-    if (word != 0) {
-      return w * 64 + static_cast<std::size_t>(std::countr_zero(word));
-    }
-  }
-  return kSlots;
-}
-
-void TimingWheelQueue::insert(const QueuedEvent& event) {
-  // Negative times (not produced by the scheduler, but legal for the
-  // standalone structure) are bucketed as tick 0; ordering against other
-  // sub-tick-0 events then degrades to insertion order, matching the
-  // calendar queue's clamp.
-  const std::int64_t tick =
-      std::max<std::int64_t>(event.time.as_nanos(), pos_);
-  const std::size_t level = level_of(tick);
-  if (level >= kLevels) {
-    // Beyond the horizon: keep a sorted-descending run so the minimum pops
-    // from the back. Overflow events always sit in a later 2^48 block than
-    // every wheel event (pos_'s high bytes only change when the wheel is
-    // empty), so the run never has to interleave with wheel extraction.
-    const auto pos = std::upper_bound(
-        overflow_.begin(), overflow_.end(), event,
-        [](const QueuedEvent& a, const QueuedEvent& b) { return b < a; });
-    overflow_.insert(pos, event);
-    return;
-  }
-  const std::size_t slot =
-      static_cast<std::size_t>(tick >> (kLevelBits * level)) & (kSlots - 1);
-  auto& events = bucket(level, slot).events;
-  if (level == 0 && !events.empty() && event.seq < events.back().seq) {
-    // A level-0 bucket holds only same-time events and pop_min/peek_min
-    // take its front as the FIFO minimum, which relies on the vector being
-    // in seq order. Pushes arrive in seq order from a single scheduler, so
-    // this branch is cold; it only fires for the parallel engine's barrier
-    // injection, where an event stamped on another shard can carry a
-    // smaller seq than an already-filed local event at the same tick.
-    const auto pos = std::upper_bound(
-        events.begin(), events.end(), event,
-        [](const QueuedEvent& a, const QueuedEvent& b) { return a.seq < b.seq; });
-    events.insert(pos, event);
-  } else {
-    events.push_back(event);
-  }
-  mark(level, slot);
-  ++wheel_size_;
-}
-
-void TimingWheelQueue::push(const QueuedEvent& event) {
-  const std::int64_t tick = std::max<std::int64_t>(event.time.as_nanos(), 0);
-  if (tick < pos_) reseat(tick);
-  insert(event);
-  ++size_;
-}
-
-void TimingWheelQueue::reseat(std::int64_t new_pos) {
-  // A push landed behind the wheel position. Slot meaning depends on pos_
-  // (a level-0 slot index only names a tick relative to pos_'s high
-  // bytes), so lowering pos_ in place would silently reinterpret every
-  // filed event; the only correct move is a full rebuild. The scheduler's
-  // schedule_at(t >= now) discipline makes this a cold path: it can only
-  // trigger after run_until popped a cancelled stale beyond its deadline.
-  ++reseats_;
-  scratch_.clear();
-  scratch_.reserve(wheel_size_);
-  for (std::size_t level = 0; level < kLevels; ++level) {
-    for (std::size_t w = 0; w < kSlots / 64; ++w) {
-      std::uint64_t word = occupied_[level][w];
-      while (word != 0) {
-        const std::size_t slot =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(word));
-        word &= word - 1;
-        auto& events = bucket(level, slot).events;
-        scratch_.insert(scratch_.end(), events.begin(), events.end());
-        events.clear();
-      }
-      occupied_[level][w] = 0;
-    }
-  }
-  levels_mask_ = 0;
-  wheel_size_ = 0;
-  pos_ = new_pos;
-  for (const QueuedEvent& e : scratch_) insert(e);
-  scratch_.clear();
-}
-
-void TimingWheelQueue::migrate_overflow() {
-  TCPPR_CHECK(!overflow_.empty());
-  pos_ = overflow_.back().time.as_nanos();
-  // The run is sorted descending, so popping from the back feeds the wheel
-  // in ascending (time, seq) order — same-time events re-file in their
-  // original FIFO order.
-  while (!overflow_.empty()) {
-    const QueuedEvent& e = overflow_.back();
-    if (level_of(e.time.as_nanos()) >= kLevels) break;
-    insert(e);
-    overflow_.pop_back();
-  }
-}
-
-bool TimingWheelQueue::find_min_bucket(std::size_t& level,
-                                       std::size_t& slot) const {
-  if (levels_mask_ == 0) return false;
-  level = static_cast<std::size_t>(std::countr_zero(levels_mask_));
-  slot = first_occupied(level);
-  TCPPR_CHECK(slot < kSlots);
-  return true;
-}
-
-std::optional<QueuedEvent> TimingWheelQueue::pop_min() {
-  if (size_ == 0) return std::nullopt;
-  if (wheel_size_ == 0) migrate_overflow();
-  std::size_t level = 0;
-  std::size_t slot = 0;
-  const bool found = find_min_bucket(level, slot);
-  TCPPR_CHECK(found);
-  Bucket& b = bucket(level, slot);
-  if (level == 0) {
-    // A level-0 slot spans one tick: every event in it is simultaneous
-    // and the vector is in insertion order, so front() is the FIFO min.
-    const QueuedEvent event = b.events.front();
-    b.events.erase(b.events.begin());
-    if (b.events.empty()) unmark(0, slot);
-    --wheel_size_;
-    --size_;
-    pos_ = std::max(pos_, event.time.as_nanos());
-    return event;
-  }
-  // Extract-min cascade. The first occupied slot of the lowest occupied
-  // level holds the global minimum: lower levels are empty, and earlier
-  // slots of this level would lie behind pos_, which push() forbids. So
-  // take the bucket minimum out directly and advance the position to its
-  // time — not merely to the slot window start. Survivors then re-file
-  // relative to the true front: a lone event cascades zero further times,
-  // and clustered events drop straight to their final level instead of
-  // stepping through every level in between. Same-tick survivors keep
-  // their original vector order, so FIFO still holds when they land in a
-  // level-0 bucket together.
-  ++cascades_;
-  std::size_t min_i = 0;
-  for (std::size_t i = 1; i < b.events.size(); ++i) {
-    if (b.events[i] < b.events[min_i]) min_i = i;
-  }
-  const QueuedEvent event = b.events[min_i];
-  pos_ = event.time.as_nanos();
-  scratch_.clear();
-  scratch_.swap(b.events);
-  unmark(level, slot);
-  wheel_size_ -= scratch_.size();
-  for (std::size_t i = 0; i < scratch_.size(); ++i) {
-    // Every survivor shares byte `level` (the slot index) with the new
-    // position, so it re-files at least one level down.
-    if (i != min_i) insert(scratch_[i]);
-  }
-  scratch_.clear();
-  --size_;
-  return event;
-}
-
-std::optional<QueuedEvent> TimingWheelQueue::peek_min() {
-  // Deliberately non-mutating (no cascade): run_until peeks past-deadline
-  // minima and leaves them queued; advancing pos_ here would strand later
-  // pushes between the deadline and that minimum behind the position.
-  if (size_ == 0) return std::nullopt;
-  if (wheel_size_ == 0) return overflow_.back();
-  std::size_t level = 0;
-  std::size_t slot = 0;
-  const bool found = find_min_bucket(level, slot);
-  TCPPR_CHECK(found);
-  const Bucket& b = buckets_[level * kSlots + slot];
-  if (level == 0) return b.events.front();
-  const QueuedEvent* min_event = &b.events.front();
-  for (const QueuedEvent& e : b.events) {
-    if (e < *min_event) min_event = &e;
-  }
-  return *min_event;
-}
-
-void TimingWheelQueue::clear() {
-  for (std::size_t level = 0; level < kLevels; ++level) {
-    for (std::size_t w = 0; w < kSlots / 64; ++w) {
-      std::uint64_t word = occupied_[level][w];
-      while (word != 0) {
-        const std::size_t slot =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(word));
-        word &= word - 1;
-        bucket(level, slot).events.clear();
-      }
-      occupied_[level][w] = 0;
-    }
-  }
-  levels_mask_ = 0;
-  overflow_.clear();
-  wheel_size_ = 0;
-  size_ = 0;
-  // pos_ is kept: clear() discards stales mid-run, and the next push will
-  // be at or after the scheduler's current time anyway.
 }
 
 }  // namespace tcppr::sim

@@ -1,21 +1,10 @@
-// Pending-event set implementations for the scheduler.
-//
-// HeapQueue (a cache-friendly 8-ary implicit heap) is the default.
-// CalendarQueue (R. Brown, CACM 1988) is the classic O(1)-amortized
-// structure used by ns-2's scheduler; it wins when the event population is
-// large and arrival times are roughly uniform, which is exactly a loaded
-// packet simulation. TimingWheelQueue (Varghese & Lauck, SOSP 1987) is the
-// hierarchical timing wheel: O(1) insert at any horizon and O(levels)
-// amortized extraction, the structure of choice when the timer population
-// is dominated by per-flow deadline timers at many-flow scale. All three
-// order events by (time, insertion sequence) so simulations are
-// backend-independent — a property the test suite checks.
+// The scheduler's pending-event set: an 8-ary implicit min-heap ordered by
+// (time, insertion sequence), so ties pop FIFO and runs are deterministic.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "sim/time.hpp"
 
@@ -30,24 +19,6 @@ struct QueuedEvent {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
-};
-
-class EventQueue {
- public:
-  virtual ~EventQueue() = default;
-  virtual void push(const QueuedEvent& event) = 0;
-  // Removes and returns the earliest event, or nullopt when empty.
-  virtual std::optional<QueuedEvent> pop_min() = 0;
-  // Returns the earliest event without removing it, or nullopt when empty.
-  // Non-const: the calendar queue advances its scan cursor while locating
-  // the minimum (an immediately following pop_min is then O(1)).
-  virtual std::optional<QueuedEvent> peek_min() = 0;
-  // Discards all pending entries. The scheduler calls this when every
-  // remaining entry is known to be a cancelled stale, so draining them one
-  // pop at a time would be wasted sift work.
-  virtual void clear() = 0;
-  virtual std::size_t size() const = 0;
-  bool empty() const { return size() == 0; }
 };
 
 // Implicit d-ary min-heap (d = 8), stored as parallel key/payload arrays.
@@ -67,27 +38,33 @@ class EventQueue {
 // already a valid min-heap, so the first out-of-order push switches to heap
 // mode for the cost of one compaction memmove; heap mode persists until the
 // queue drains empty.
-class HeapQueue final : public EventQueue {
+class HeapQueue {
  public:
   HeapQueue() = default;
   HeapQueue(const HeapQueue&) = delete;
   HeapQueue& operator=(const HeapQueue&) = delete;
-  ~HeapQueue() override;
+  ~HeapQueue();
 
-  void push(const QueuedEvent& event) override;
-  std::optional<QueuedEvent> pop_min() override;
-  std::optional<QueuedEvent> peek_min() override {
+  void push(const QueuedEvent& event);
+  // Removes and returns the earliest event, or nullopt when empty.
+  std::optional<QueuedEvent> pop_min();
+  // Returns the earliest event without removing it, or nullopt when empty.
+  std::optional<QueuedEvent> peek_min() const {
     if (count_ == 0) return std::nullopt;
     const std::size_t root = head_ + kPad;
     return QueuedEvent{TimePoint::from_nanos(keys_[root]), aux_[root].seq,
                        aux_[root].id};
   }
-  void clear() override {
+  // Discards all pending entries. The scheduler calls this when every
+  // remaining entry is known to be a cancelled stale, so draining them one
+  // pop at a time would be wasted sift work.
+  void clear() {
     count_ = 0;
     head_ = 0;
     sorted_ = true;
   }
-  std::size_t size() const override { return count_; }
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
 
   // True while the queue is in the flat sorted-run representation (for
   // tests; callers cannot observe the mode through push/pop ordering).
@@ -120,130 +97,6 @@ class HeapQueue final : public EventQueue {
   std::size_t head_ = 0;      // logical index of the minimum; 0 in heap mode
   std::size_t capacity_ = 0;  // physical capacity beyond the pad
   bool sorted_ = true;        // flat sorted-run mode vs heap mode
-};
-
-class CalendarQueue final : public EventQueue {
- public:
-  CalendarQueue();
-
-  void push(const QueuedEvent& event) override;
-  std::optional<QueuedEvent> pop_min() override;
-  std::optional<QueuedEvent> peek_min() override;
-  void clear() override;
-  std::size_t size() const override { return size_; }
-
-  std::size_t bucket_count() const { return buckets_.size(); }
-
- private:
-  void insert(const QueuedEvent& event);
-  std::size_t bucket_index(TimePoint t) const;
-  void resize(std::size_t new_bucket_count);
-  std::int64_t estimate_width() const;
-  // Advances the cursor to the bucket holding the global minimum and
-  // returns that bucket (its back() is the minimum), or nullptr when
-  // empty. Shared scan for pop_min/peek_min.
-  std::vector<QueuedEvent>* find_min_bucket();
-  // Re-seats the cursor at time t's bucket and year.
-  void seat_cursor(TimePoint t);
-
-  std::vector<std::vector<QueuedEvent>> buckets_;  // each kept sorted desc
-  std::int64_t width_ns_ = 1'000'000;              // bucket width
-  std::size_t current_ = 0;                        // cursor bucket
-  std::int64_t year_start_ns_ = 0;  // time at bucket 0 of current round
-  std::size_t size_ = 0;
-  TimePoint last_popped_;
-};
-
-// Hierarchical timing wheel (Varghese & Lauck, SOSP 1987): kLevels wheels
-// of 256 slots each, level L slots spanning 2^(8L) ns, for a total
-// in-wheel horizon of 2^48 ns (~78 simulated hours) past the wheel's
-// current position. An event lands at the level of the highest byte in
-// which its time differs from the position, so insert is O(1): one bucket
-// append plus one occupancy-bit set. Extraction scans the per-level
-// 256-bit occupancy bitmaps for the lowest nonempty (level, slot); a hit
-// above level 0 cascades — the bucket is redistributed one level down,
-// amortizing to O(kLevels) bucket moves per event. Level-0 slots are one
-// nanosecond wide, so a level-0 bucket holds only same-time events, and
-// bucket order is insertion order: the (time, seq) FIFO contract falls out
-// structurally instead of from comparisons.
-//
-// Events beyond the horizon overflow into a sorted run (descending, like a
-// calendar bucket: the minimum pops from the back) and migrate into the
-// wheel when it drains down to them. Pushes behind the wheel position —
-// legal for the standalone structure after a stale entry beyond a
-// run_until deadline was popped — trigger a full re-seat of the wheel at
-// the earlier time; the scheduler's own schedule_at(t >= now) discipline
-// makes this a cold path.
-class TimingWheelQueue final : public EventQueue {
- public:
-  static constexpr std::size_t kLevelBits = 8;
-  static constexpr std::size_t kSlots = 1u << kLevelBits;  // 256
-  static constexpr std::size_t kLevels = 6;
-  // Ticks are nanoseconds; the wheel covers [pos, pos + kHorizonNs).
-  static constexpr std::int64_t kHorizonNs =
-      std::int64_t{1} << (kLevelBits * kLevels);
-  static_assert(kSlots / 64 == 4, "unmark() unrolls four bitmap words");
-
-  TimingWheelQueue();
-  TimingWheelQueue(const TimingWheelQueue&) = delete;
-  TimingWheelQueue& operator=(const TimingWheelQueue&) = delete;
-
-  void push(const QueuedEvent& event) override;
-  std::optional<QueuedEvent> pop_min() override;
-  std::optional<QueuedEvent> peek_min() override;
-  void clear() override;
-  std::size_t size() const override { return size_; }
-
-  // Introspection for tests.
-  std::size_t overflow_size() const { return overflow_.size(); }
-  std::uint64_t cascades() const { return cascades_; }
-  std::uint64_t reseats() const { return reseats_; }
-
- private:
-  struct Bucket {
-    std::vector<QueuedEvent> events;
-  };
-
-  // Level of the highest byte in which tick differs from pos_ (0 when
-  // equal); kLevels and above means "beyond the wheel horizon".
-  std::size_t level_of(std::int64_t tick) const;
-  Bucket& bucket(std::size_t level, std::size_t slot) {
-    return buckets_[level * kSlots + slot];
-  }
-  void mark(std::size_t level, std::size_t slot) {
-    occupied_[level][slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    levels_mask_ |= std::uint32_t{1} << level;
-  }
-  void unmark(std::size_t level, std::size_t slot) {
-    occupied_[level][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-    if ((occupied_[level][0] | occupied_[level][1] | occupied_[level][2] |
-         occupied_[level][3]) == 0) {
-      levels_mask_ &= ~(std::uint32_t{1} << level);
-    }
-  }
-  // First occupied slot at `level`, or kSlots when the level is empty.
-  std::size_t first_occupied(std::size_t level) const;
-  // Files the event into its wheel bucket or the overflow run.
-  void insert(const QueuedEvent& event);
-  // Rebuilds the wheel around an earlier position (push behind pos_).
-  void reseat(std::int64_t new_pos);
-  // Re-seats the wheel at the overflow minimum and migrates every
-  // overflow event now inside the horizon. Pre: wheel empty, overflow not.
-  void migrate_overflow();
-  // Lowest (level, slot) holding the wheel minimum; false when the wheel
-  // part is empty.
-  bool find_min_bucket(std::size_t& level, std::size_t& slot) const;
-
-  std::vector<Bucket> buckets_;  // kLevels * kSlots, level-major
-  std::uint64_t occupied_[kLevels][kSlots / 64] = {};
-  std::uint32_t levels_mask_ = 0;  // bit L set <=> level L has a set bit
-  std::int64_t pos_ = 0;  // wheel position: no pending event is earlier
-  std::size_t wheel_size_ = 0;
-  std::size_t size_ = 0;
-  std::vector<QueuedEvent> overflow_;  // sorted descending; min at back
-  std::vector<QueuedEvent> scratch_;   // cascade/reseat staging
-  std::uint64_t cascades_ = 0;
-  std::uint64_t reseats_ = 0;
 };
 
 }  // namespace tcppr::sim

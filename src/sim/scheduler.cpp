@@ -7,21 +7,6 @@
 
 namespace tcppr::sim {
 
-Scheduler::Scheduler(SchedulerBackend backend) {
-  switch (backend) {
-    case SchedulerBackend::kBinaryHeap:
-      queue_ = std::make_unique<HeapQueue>();
-      break;
-    case SchedulerBackend::kCalendarQueue:
-      queue_ = std::make_unique<CalendarQueue>();
-      break;
-    case SchedulerBackend::kTimingWheel:
-      queue_ = std::make_unique<TimingWheelQueue>();
-      break;
-  }
-  TCPPR_CHECK(queue_ != nullptr);
-}
-
 Scheduler::~Scheduler() {
   for (std::uint32_t i = 0; i < slot_count_; ++i) slot(i).~Slot();
   for (Slot* chunk : chunks_) {
@@ -102,10 +87,10 @@ bool Scheduler::would_fire_next(TimePoint t, std::uint64_t seq) {
   }
   for (;;) {
     if (live_count_ == 0) return true;
-    const auto next = queue_->peek_min();
+    const auto next = queue_.peek_min();
     if (!next) return true;
     if (!is_live(next->id)) {
-      queue_->pop_min();
+      queue_.pop_min();
       continue;
     }
     return t < next->time || (t == next->time && seq < next->seq);
@@ -119,10 +104,10 @@ void Scheduler::run() {
     if (live_count_ == 0) {
       // Everything still queued is a cancelled stale; popping each one
       // through the sift machinery would be wasted work.
-      queue_->clear();
+      queue_.clear();
       break;
     }
-    const auto event = queue_->pop_min();
+    const auto event = queue_.pop_min();
     if (!event) break;
     if (!is_live(event->id)) continue;  // cancelled: stale queue entry
     fire(*event);
@@ -135,19 +120,19 @@ void Scheduler::run_until(TimePoint deadline) {
   run_limit_time_ = deadline;
   while (!stopped_) {
     if (live_count_ == 0) {
-      queue_->clear();
+      queue_.clear();
       break;
     }
-    const auto next = queue_->peek_min();
+    const auto next = queue_.peek_min();
     if (!next) break;
     if (!is_live(next->id)) {
       // Cancelled: drop the stale entry even when it lies past the
       // deadline; peeking it again every window would be wasted work.
-      queue_->pop_min();
+      queue_.pop_min();
       continue;
     }
     if (next->time > deadline) break;  // stays queued — peek, don't pop
-    const auto event = queue_->pop_min();
+    const auto event = queue_.pop_min();
     fire(*event);
   }
   if (now_ < deadline) now_ = deadline;
@@ -159,17 +144,17 @@ void Scheduler::run_until_before(TimePoint horizon) {
   run_limit_time_ = horizon;
   while (!stopped_) {
     if (live_count_ == 0) {
-      queue_->clear();
+      queue_.clear();
       break;
     }
-    const auto next = queue_->peek_min();
+    const auto next = queue_.peek_min();
     if (!next) break;
     if (!is_live(next->id)) {
-      queue_->pop_min();
+      queue_.pop_min();
       continue;
     }
     if (next->time >= horizon) break;  // exclusive: horizon events wait
-    const auto event = queue_->pop_min();
+    const auto event = queue_.pop_min();
     fire(*event);
   }
   if (now_ < horizon) now_ = horizon;
@@ -177,14 +162,14 @@ void Scheduler::run_until_before(TimePoint horizon) {
 
 std::optional<TimePoint> Scheduler::next_deadline() {
   if (live_count_ == 0) {
-    queue_->clear();
+    queue_.clear();
     return std::nullopt;
   }
   for (;;) {
-    const auto next = queue_->peek_min();
+    const auto next = queue_.peek_min();
     if (!next) return std::nullopt;
     if (is_live(next->id)) return next->time;
-    queue_->pop_min();
+    queue_.pop_min();
   }
 }
 

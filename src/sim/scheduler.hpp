@@ -11,15 +11,12 @@
 // node allocation. A slot's generation bumps on release, so a stale
 // EventId held across slot reuse is rejected instead of hitting the new
 // occupant. Cancellation is lazy: the slot is released immediately and the
-// queue entry is skipped on pop. The pending-event set is pluggable
-// (binary heap by default, calendar queue like ns-2's scheduler for large
-// event populations, hierarchical timing wheel for many-flow timer
-// workloads); see sim/event_queue.hpp.
+// queue entry is skipped on pop. The pending-event set is an 8-ary heap
+// held by value; see sim/event_queue.hpp.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -41,7 +38,9 @@ struct EventId {
   friend constexpr bool operator==(EventId, EventId) = default;
 };
 
-enum class SchedulerBackend { kBinaryHeap, kCalendarQueue, kTimingWheel };
+// The only pending-event set. Kept as a one-value enum because the
+// benchmark driver (perfbench/driver.cpp) still names it.
+enum class SchedulerBackend { kBinaryHeap };
 
 class Scheduler {
  public:
@@ -52,7 +51,7 @@ class Scheduler {
   static constexpr std::size_t kCallbackInlineBytes = 48;
   using Callback = util::InlineFunction<void(), kCallbackInlineBytes>;
 
-  explicit Scheduler(SchedulerBackend backend = SchedulerBackend::kBinaryHeap);
+  Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
   ~Scheduler();
@@ -214,9 +213,9 @@ class Scheduler {
   std::size_t pending_count() const { return live_count_; }
   std::uint64_t processed_count() const { return processed_; }
   // Entries in the pending-event set, including lazily-cancelled stales —
-  // the population the backend actually pays for. pending_count() <=
+  // the population the heap actually pays for. pending_count() <=
   // queued_count(); the gap is the stale load cancellation churn creates.
-  std::size_t queued_count() const { return queue_->size(); }
+  std::size_t queued_count() const { return queue_.size(); }
 
  private:
   template <typename F>
@@ -232,7 +231,7 @@ class Scheduler {
     ++live_count_;
     const std::uint64_t packed =
         (static_cast<std::uint64_t>(s.generation) << 32) | index;
-    queue_->push(QueuedEvent{t, seq, packed});
+    queue_.push(QueuedEvent{t, seq, packed});
     return EventId{packed};
   }
 
@@ -307,7 +306,7 @@ class Scheduler {
   std::vector<StampSlot> stamp_slots_;  // indexed by owner entity (node id)
   std::uint64_t current_event_seq_ = 0;
   std::size_t live_count_ = 0;
-  std::unique_ptr<EventQueue> queue_;
+  HeapQueue queue_;
   std::vector<Slot*> chunks_;  // raw aligned storage, lazily constructed
   std::uint32_t slot_count_ = 0;  // high-water mark of constructed slots
   std::uint32_t free_head_ = kFreeListEnd;

@@ -82,11 +82,6 @@ std::string describe(const FuzzCase& c) {
     if (!variants.empty()) variants += ",";
     variants += harness::to_string(v);
   }
-  const char* queue = c.backend == sim::SchedulerBackend::kCalendarQueue
-                          ? "calendar"
-                      : c.backend == sim::SchedulerBackend::kTimingWheel
-                          ? "wheel"
-                          : "heap";
   const char* churn_kinds[] = {"poisson", "web", "onoff"};
   char churn[48];
   if (c.churn_rate > 0) {
@@ -99,21 +94,27 @@ std::string describe(const FuzzCase& c) {
       buf, sizeof(buf),
       "topology=%s flows=%d variants=[%s] dur=%.2fs cross=%d loss=%.4f "
       "jitter=%.1fms flap=%d(up=%.2fs,down=%.2fs) reconf=%d eps=%g nodes=%d "
-      "batch=%d "
-      "queue=%s par=%d churn=%s telemetry=%d",
+      "batch=%d par=%d churn=%s telemetry=%d",
       to_string(c.topology), c.flows, variants.c_str(), c.duration_s,
       c.cross_traffic ? 1 : 0, c.loss_rate, c.jitter_ms, c.flap ? 1 : 0,
       c.flap_mean_up_s, c.flap_mean_down_s, c.reconfigure_mid_run ? 1 : 0,
-      c.epsilon, c.graph_nodes, c.batching ? 1 : 0, queue, c.par_lps, churn,
+      c.epsilon, c.graph_nodes, c.batching ? 1 : 0, c.par_lps, churn,
       c.telemetry ? 1 : 0);
   return buf;
+}
+
+std::string reproducer(const FuzzCase& c) {
+  std::string cmd = "tcppr_sim --fuzz-seed " + std::to_string(c.seed);
+  if (c.par_lps >= 1) cmd += " --par " + std::to_string(c.par_lps);
+  if (!c.batching) cmd += " --no-batch";
+  return cmd;
 }
 
 namespace {
 
 std::unique_ptr<harness::Scenario> build_random_graph(const FuzzCase& c,
                                                       sim::Rng& rng) {
-  auto s = std::make_unique<harness::Scenario>(c.backend);
+  auto s = std::make_unique<harness::Scenario>();
   net::Network& nw = s->network;
   const int n = std::max(4, c.graph_nodes);
   for (int i = 0; i < n; ++i) nw.add_node();
@@ -163,7 +164,6 @@ std::unique_ptr<harness::Scenario> build_scenario(const FuzzCase& c,
       cfg.pr_flows = 0;
       cfg.sack_flows = 0;
       cfg.seed = c.seed;
-      cfg.backend = c.backend;
       auto s = harness::make_dumbbell(cfg);
       for (int i = 0; i < c.flows; ++i) {
         const auto start = sim::TimePoint::from_seconds(rng.uniform(0.0, 1.0));
@@ -178,7 +178,6 @@ std::unique_ptr<harness::Scenario> build_scenario(const FuzzCase& c,
       cfg.sack_flows = 0;
       cfg.with_cross_traffic = c.cross_traffic;
       cfg.seed = c.seed;
-      cfg.backend = c.backend;
       auto s = harness::make_parking_lot(cfg);
       for (int i = 0; i < c.flows; ++i) {
         const auto start = sim::TimePoint::from_seconds(rng.uniform(0.0, 1.0));
@@ -193,7 +192,6 @@ std::unique_ptr<harness::Scenario> build_scenario(const FuzzCase& c,
                                        : c.variants.front();
       cfg.epsilon = c.epsilon;
       cfg.seed = c.seed;
-      cfg.backend = c.backend;
       return harness::make_multipath(cfg);
     }
     case FuzzCase::Topology::kRandomGraph:
@@ -437,7 +435,13 @@ FuzzCase minimize_fuzz_case(const FuzzCase& failing, int max_runs) {
 
 int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
                       bool quiet, const std::string& artifact_dir,
-                      sim::SchedulerBackend backend, int par_lps) {
+                      int par_lps, bool batching) {
+  const auto case_for = [&](std::uint64_t seed) {
+    FuzzCase c = sample_fuzz_case(seed);
+    c.par_lps = par_lps;
+    c.batching = batching;
+    return c;
+  };
   struct CellResult {
     bool ok = true;
     std::string failure;
@@ -445,10 +449,7 @@ int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
   std::vector<CellResult> results(static_cast<std::size_t>(count));
   harness::parallel_for(jobs, count, [&](int i) {
     const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
-    FuzzCase c = sample_fuzz_case(seed);
-    c.backend = backend;
-    c.par_lps = par_lps;
-    const FuzzResult r = run_fuzz_case(c);
+    const FuzzResult r = run_fuzz_case(case_for(seed));
     if (!r.ok) {
       results[static_cast<std::size_t>(i)].ok = false;
       results[static_cast<std::size_t>(i)].failure = r.first_violation;
@@ -461,11 +462,9 @@ int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
     if (results[static_cast<std::size_t>(i)].ok) continue;
     ++failures;
     const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
-    FuzzCase c = sample_fuzz_case(seed);
-    c.backend = backend;
-    c.par_lps = par_lps;
-    std::fprintf(stderr, "FUZZ FAIL: tcppr_sim --fuzz-seed %llu  # %s\n",
-                 static_cast<unsigned long long>(seed), describe(c).c_str());
+    const FuzzCase c = case_for(seed);
+    std::fprintf(stderr, "FUZZ FAIL: %s  # %s\n", reproducer(c).c_str(),
+                 describe(c).c_str());
     std::fprintf(stderr, "  first violation: %s\n",
                  results[static_cast<std::size_t>(i)].failure.c_str());
     std::string minimized;
@@ -488,8 +487,7 @@ int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
         const std::string path = artifact_dir + "/fuzz-fail-" +
                                  std::to_string(seed) + ".txt";
         if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-          std::fprintf(f, "reproduce: tcppr_sim --fuzz-seed %llu\n",
-                       static_cast<unsigned long long>(seed));
+          std::fprintf(f, "reproduce: %s\n", reproducer(c).c_str());
           std::fprintf(f, "config: %s\n", describe(c).c_str());
           std::fprintf(f, "first violation: %s\n",
                        results[static_cast<std::size_t>(i)].failure.c_str());

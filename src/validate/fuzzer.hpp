@@ -10,8 +10,8 @@
 // the fuzzer samples it.
 //
 // On failure the campaign prints a one-line reproducer
-// (`tcppr_sim --fuzz-seed N` plus the sampled config) and a greedily
-// minimized variant of the case that still fails.
+// (`tcppr_sim --fuzz-seed N [--par N] [--no-batch]` plus the sampled
+// config) and a greedily minimized variant of the case that still fails.
 #pragma once
 
 #include <cstdint>
@@ -55,19 +55,16 @@ struct FuzzCase {
   // AFTER churn (the seed-prefix rule above: seeds 1..N still expand to
   // the cases they produced before this dimension existed).
   bool telemetry = false;
-  // Scheduler backend the scenario runs on. Never sampled (every backend
-  // must produce identical trajectories, so sampling it would add nothing);
-  // set explicitly by the backend-equivalence tests and --queue.
-  sim::SchedulerBackend backend = sim::SchedulerBackend::kBinaryHeap;
   // Logical processes for the parallel engine. 0 = legacy sequential run
   // on the build scheduler; 1 = canonical stamped run on a single shard;
-  // >= 2 = threaded. Never sampled (like `backend`: any LP count >= 1
-  // must produce the identical trajectory); set explicitly by the
-  // parallel-equivalence tests and --par. The realized LP count may be
-  // lower when the partitioner finds no positive-lookahead cut.
+  // >= 2 = threaded. Never sampled (any LP count >= 1 must produce the
+  // identical trajectory, so sampling it would add nothing); set
+  // explicitly by the parallel-equivalence tests and --par. The realized
+  // LP count may be lower when the partitioner finds no positive-lookahead
+  // cut.
   int par_lps = 0;
   // Batched hot path (net::set_hot_path_batching), sampled at Network
-  // construction. Never sampled (like `backend`: the batched and
+  // construction. Never sampled (like `par_lps`: the batched and
   // unbatched engines must produce the identical trajectory); set
   // explicitly by the batch-equivalence tests and --no-batch.
   bool batching = true;
@@ -100,6 +97,12 @@ FuzzResult run_fuzz_case(const FuzzCase& c);
 // One-line reproducer configuration (appended to "--fuzz-seed N").
 std::string describe(const FuzzCase& c);
 
+// The tcppr_sim command that replays `c`: "tcppr_sim --fuzz-seed N", plus
+// "--par N" and "--no-batch" when the case runs on the parallel engine or
+// unbatched. It replays `c` only if every other field is as
+// sample_fuzz_case(c.seed) drew it.
+std::string reproducer(const FuzzCase& c);
+
 // Greedy config minimizer: tries removing fault processes, shrinking the
 // flow set and duration, and simplifying the topology while the case
 // still fails; at most `max_runs` re-executions.
@@ -113,12 +116,11 @@ FuzzCase minimize_fuzz_case(const FuzzCase& failing, int max_runs = 40);
 // command, the sampled config, the first violation, and (unless quiet)
 // the minimized config. CI uploads the directory so a red fuzz job
 // carries its own repro.
-// Every sampled case runs on `backend` and `par_lps` logical processes
-// (the sampler itself never varies either — see the FuzzCase fields).
-int run_fuzz_campaign(
-    std::uint64_t first_seed, int count, int jobs, bool quiet = false,
-    const std::string& artifact_dir = "",
-    sim::SchedulerBackend backend = sim::SchedulerBackend::kBinaryHeap,
-    int par_lps = 0);
+// Every sampled case runs on `par_lps` logical processes with the batched
+// hot path set to `batching` (the sampler itself never varies either —
+// see the FuzzCase fields), and the reproducer lines carry both.
+int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
+                      bool quiet = false, const std::string& artifact_dir = "",
+                      int par_lps = 0, bool batching = true);
 
 }  // namespace tcppr::validate

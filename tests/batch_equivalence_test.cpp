@@ -4,12 +4,12 @@
 // byte-identical to the unbatched engine's. The DeliveryHasher digest
 // over (time, flow, endpoints, seq, size, is_ack) is the witness.
 //
-// Two matrices, mirroring backend_equivalence_test.cpp:
-//   - 12 variants x 3 paper topologies: unbatched heap reference vs
-//     batched on all 3 backends and batched parallel at 1/2/4/8 LPs, and
+// Two matrices, mirroring golden_digest_test.cpp:
+//   - 12 variants x 3 paper topologies: unbatched reference vs batched
+//     sequential and batched parallel at 1/2/4/8 LPs, and
 //   - 200 fuzz seeds (faulty links, random topologies) batched vs
-//     unbatched, with calendar/wheel and parallel coverage sprinkled in,
-//     sharded into 8 parameterized cases so ctest -j spreads the work.
+//     unbatched, with parallel coverage sprinkled in, sharded into 8
+//     parameterized cases so ctest -j spreads the work.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,35 +21,14 @@
 namespace tcppr::validate {
 namespace {
 
-constexpr sim::SchedulerBackend kBackends[] = {
-    sim::SchedulerBackend::kBinaryHeap,
-    sim::SchedulerBackend::kCalendarQueue,
-    sim::SchedulerBackend::kTimingWheel,
-};
-
-const char* backend_name(sim::SchedulerBackend backend) {
-  switch (backend) {
-    case sim::SchedulerBackend::kBinaryHeap:
-      return "heap";
-    case sim::SchedulerBackend::kCalendarQueue:
-      return "calendar";
-    case sim::SchedulerBackend::kTimingWheel:
-      return "wheel";
-  }
-  return "?";
-}
-
-FuzzResult run_batched(FuzzCase c, sim::SchedulerBackend backend,
-                       int par_lps = 0) {
+FuzzResult run_batched(FuzzCase c, int par_lps = 0) {
   c.batching = true;
-  c.backend = backend;
   c.par_lps = par_lps;
   return run_fuzz_case(c);
 }
 
 FuzzResult run_unbatched(FuzzCase c) {
   c.batching = false;
-  c.backend = sim::SchedulerBackend::kBinaryHeap;
   c.par_lps = 0;
   return run_fuzz_case(c);
 }
@@ -73,17 +52,12 @@ TEST_P(VariantBatchEquivalence, AllTopologiesHashIdentically) {
     EXPECT_TRUE(reference.ok)
         << to_string(topology) << ": " << reference.first_violation;
     EXPECT_GT(reference.delivered, 0u) << to_string(topology);
-    for (const auto backend : kBackends) {
-      const FuzzResult batched = run_batched(c, backend);
-      EXPECT_EQ(batched.delivery_hash, reference.delivery_hash)
-          << to_string(topology) << " batched on " << backend_name(backend)
-          << " diverged from the unbatched engine";
-      EXPECT_EQ(batched.delivered, reference.delivered)
-          << to_string(topology) << " batched on " << backend_name(backend);
-      EXPECT_TRUE(batched.ok)
-          << to_string(topology) << " batched on " << backend_name(backend)
-          << ": " << batched.first_violation;
-    }
+    const FuzzResult batched = run_batched(c);
+    EXPECT_EQ(batched.delivery_hash, reference.delivery_hash)
+        << to_string(topology) << " batched diverged from the unbatched engine";
+    EXPECT_EQ(batched.delivered, reference.delivered) << to_string(topology);
+    EXPECT_TRUE(batched.ok)
+        << to_string(topology) << " batched: " << batched.first_violation;
     // Parallel runs compare against the unbatched *stamped* canonical
     // baseline (par_lps=1), not the legacy sequential run: stamped tie
     // order is keyed by owner node, which legitimately differs from
@@ -96,8 +70,7 @@ TEST_P(VariantBatchEquivalence, AllTopologiesHashIdentically) {
     EXPECT_TRUE(par_reference.ok)
         << to_string(topology) << ": " << par_reference.first_violation;
     for (const int lps : {1, 2, 4, 8}) {
-      const FuzzResult batched =
-          run_batched(c, sim::SchedulerBackend::kBinaryHeap, lps);
+      const FuzzResult batched = run_batched(c, lps);
       EXPECT_EQ(batched.delivery_hash, par_reference.delivery_hash)
           << to_string(topology) << " batched at " << lps
           << " LPs diverged from the unbatched engine";
@@ -123,9 +96,8 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, VariantBatchEquivalence,
 // 200 fuzz seeds, batched vs unbatched, in 8 shards of 25 seeds each.
 // The fuzz sampler exercises faulty links (loss, jitter, flaps,
 // reconfiguration) and all four topologies — interleavings the clean
-// matrix above cannot reach. Both sides of each comparison share the
-// backend and LP count (rotated per seed for calendar/wheel/parallel
-// coverage); only `batching` differs.
+// matrix above cannot reach. Both sides of each comparison share the LP
+// count (every fourth seed runs on 4 LPs); only `batching` differs.
 class FuzzSeedBatchEquivalence : public testing::TestWithParam<int> {};
 
 TEST_P(FuzzSeedBatchEquivalence, BatchedMatchesUnbatched) {
@@ -134,7 +106,6 @@ TEST_P(FuzzSeedBatchEquivalence, BatchedMatchesUnbatched) {
       1 + static_cast<std::uint64_t>(GetParam()) * kSeedsPerShard;
   for (std::uint64_t seed = first; seed < first + kSeedsPerShard; ++seed) {
     FuzzCase c = sample_fuzz_case(seed);
-    c.backend = kBackends[seed % 3];
     c.par_lps = seed % 4 == 0 ? 4 : 0;
     FuzzCase unbatched = c;
     unbatched.batching = false;

@@ -1,9 +1,11 @@
-// Tests for the pending-event set backends: calendar queue correctness,
-// randomized equivalence against the binary heap, and backend-independent
-// simulation results.
+// Tests for the pending-event set (HeapQueue): sorted-run mode switches,
+// randomized order against an independent sorted reference, and a full
+// simulation against its golden result.
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <cstdint>
+#include <set>
+#include <utility>
 
 #include "core/tcp_pr.hpp"
 #include "net/network.hpp"
@@ -18,52 +20,6 @@ namespace {
 
 QueuedEvent ev(double seconds, std::uint64_t seq) {
   return QueuedEvent{TimePoint::from_seconds(seconds), seq, seq + 1};
-}
-
-TEST(CalendarQueue, PopsInTimeOrder) {
-  CalendarQueue q;
-  q.push(ev(3.0, 1));
-  q.push(ev(1.0, 2));
-  q.push(ev(2.0, 3));
-  EXPECT_EQ(q.pop_min()->seq, 2u);
-  EXPECT_EQ(q.pop_min()->seq, 3u);
-  EXPECT_EQ(q.pop_min()->seq, 1u);
-  EXPECT_FALSE(q.pop_min().has_value());
-}
-
-TEST(CalendarQueue, TiesBreakByInsertionSeq) {
-  CalendarQueue q;
-  for (std::uint64_t i = 10; i > 0; --i) q.push(ev(1.0, i));
-  for (std::uint64_t i = 1; i <= 10; ++i) {
-    EXPECT_EQ(q.pop_min()->seq, i);
-  }
-}
-
-TEST(CalendarQueue, HandlesSparseHorizons) {
-  CalendarQueue q;
-  q.push(ev(0.001, 1));
-  q.push(ev(1000.0, 2));  // far beyond one "year" of buckets
-  q.push(ev(0.002, 3));
-  EXPECT_EQ(q.pop_min()->seq, 1u);
-  EXPECT_EQ(q.pop_min()->seq, 3u);
-  EXPECT_EQ(q.pop_min()->seq, 2u);
-}
-
-TEST(CalendarQueue, GrowsAndShrinksWithLoad) {
-  CalendarQueue q;
-  const std::size_t initial = q.bucket_count();
-  for (std::uint64_t i = 0; i < 10000; ++i) {
-    q.push(ev(0.001 * static_cast<double>(i % 997), i));
-  }
-  EXPECT_GT(q.bucket_count(), initial);
-  double last = -1;
-  for (int i = 0; i < 10000; ++i) {
-    const auto e = q.pop_min();
-    ASSERT_TRUE(e.has_value());
-    EXPECT_GE(e->time.as_seconds(), last);
-    last = e->time.as_seconds();
-  }
-  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(HeapQueue, MonotonePushesStayInSortedRun) {
@@ -115,119 +71,13 @@ TEST(HeapQueue, ClearEmptiesAndRestoresSortedMode) {
   EXPECT_EQ(q.pop_min()->seq, 1u);
 }
 
-TEST(TimingWheelQueue, PopsInTimeOrder) {
-  TimingWheelQueue q;
-  q.push(ev(3.0, 1));
-  q.push(ev(1.0, 2));
-  q.push(ev(2.0, 3));
-  EXPECT_EQ(q.pop_min()->seq, 2u);
-  EXPECT_EQ(q.pop_min()->seq, 3u);
-  EXPECT_EQ(q.pop_min()->seq, 1u);
-  EXPECT_FALSE(q.pop_min().has_value());
-}
-
-TEST(TimingWheelQueue, TiesBreakByInsertionSeq) {
-  // Same-time events share a one-tick level-0 bucket; FIFO must hold even
-  // when the bucket was filled out of seq order and survived a cascade.
-  TimingWheelQueue q;
-  q.push(ev(10.0, 100));  // forces the 1.0s events through a cascade later
-  for (std::uint64_t i = 1; i <= 10; ++i) q.push(ev(1.0, i));
-  for (std::uint64_t i = 1; i <= 10; ++i) {
-    EXPECT_EQ(q.pop_min()->seq, i);
-  }
-  EXPECT_EQ(q.pop_min()->seq, 100u);
-}
-
-TEST(TimingWheelQueue, CascadeRedistributesAcrossLevels) {
-  // 1.0s = 10^9 ns needs byte 3 (level 3): popping it is an extract-min
-  // cascade — the minimum comes straight out of the level-3 bucket and the
-  // position advances to its time, so the adjacent-tick sibling re-files
-  // at level 0 in the same step.
-  TimingWheelQueue q;
-  q.push(ev(1.0, 1));
-  q.push(ev(1.0 + 1e-9, 2));  // adjacent tick, same high-level bucket
-  EXPECT_EQ(q.cascades(), 0u);
-  EXPECT_EQ(q.pop_min()->seq, 1u);
-  EXPECT_EQ(q.cascades(), 1u);
-  // The sibling was re-filed relative to the new position; popping it is a
-  // direct level-0 hit, no further cascade.
-  EXPECT_EQ(q.pop_min()->seq, 2u);
-  EXPECT_EQ(q.cascades(), 1u);
-}
-
-TEST(TimingWheelQueue, OverflowBeyondHorizonSpillsAndMigrates) {
-  // The wheel horizon is 2^48 ns (~78 h). Events beyond it go to the
-  // sorted overflow run and migrate into the wheel once it drains.
-  TimingWheelQueue q;
-  const double horizon_s =
-      static_cast<double>(TimingWheelQueue::kHorizonNs) * 1e-9;
-  q.push(ev(horizon_s + 7.0, 1));
-  q.push(ev(horizon_s + 3.0, 2));
-  q.push(ev(horizon_s + 3.0, 3));  // FIFO tie inside the overflow run
-  q.push(ev(1.0, 4));
-  EXPECT_EQ(q.overflow_size(), 3u);
-  EXPECT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.pop_min()->seq, 4u);
-  EXPECT_EQ(q.pop_min()->seq, 2u);  // wheel drained: overflow migrated
-  EXPECT_EQ(q.overflow_size(), 0u);
-  EXPECT_EQ(q.pop_min()->seq, 3u);
-  EXPECT_EQ(q.pop_min()->seq, 1u);
-  EXPECT_FALSE(q.pop_min().has_value());
-}
-
-TEST(TimingWheelQueue, PushBehindPositionReseats) {
-  // Popping advances the wheel position; the standalone structure must
-  // still accept earlier pushes (the scheduler's run_until pops stale
-  // entries past its deadline, so this can happen in real runs).
-  TimingWheelQueue q;
-  q.push(ev(5.0, 1));
-  EXPECT_EQ(q.pop_min()->seq, 1u);  // position is now at 5.0s
-  EXPECT_EQ(q.reseats(), 0u);
-  q.push(ev(2.0, 2));  // behind the position: full re-seat
-  EXPECT_EQ(q.reseats(), 1u);
-  q.push(ev(3.0, 3));
-  EXPECT_EQ(q.pop_min()->seq, 2u);
-  EXPECT_EQ(q.pop_min()->seq, 3u);
-  EXPECT_FALSE(q.pop_min().has_value());
-}
-
-TEST(TimingWheelQueue, PeekDoesNotPerturbOrdering) {
-  // peek_min is non-mutating: no cascade, no position advance. A push
-  // earlier than a peeked minimum must still pop first without a re-seat.
-  TimingWheelQueue q;
-  q.push(ev(4.0, 1));
-  ASSERT_TRUE(q.peek_min().has_value());
-  EXPECT_EQ(q.peek_min()->seq, 1u);
-  q.push(ev(1.0, 2));  // earlier than the peeked min
-  EXPECT_EQ(q.reseats(), 0u);
-  EXPECT_EQ(q.peek_min()->seq, 2u);
-  EXPECT_EQ(q.pop_min()->seq, 2u);
-  EXPECT_EQ(q.pop_min()->seq, 1u);
-}
-
-TEST(TimingWheelQueue, ClearEmptiesWheelAndOverflow) {
-  TimingWheelQueue q;
-  const double horizon_s =
-      static_cast<double>(TimingWheelQueue::kHorizonNs) * 1e-9;
-  for (std::uint64_t i = 0; i < 50; ++i) q.push(ev(0.01 * i, i));
-  q.push(ev(horizon_s + 1.0, 1000));
-  EXPECT_EQ(q.size(), 51u);
-  q.clear();
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.overflow_size(), 0u);
-  EXPECT_FALSE(q.pop_min().has_value());
-  q.push(ev(1.0, 1));
-  EXPECT_EQ(q.pop_min()->seq, 1u);
-}
-
-TEST(EventQueueEquivalence, RandomizedAcrossAllBackends) {
-  // Interleaved pushes and pops with random times: all backends must
-  // produce the identical pop sequence.
+TEST(HeapQueue, RandomizedMatchesSortedReference) {
+  // Interleaved pushes and pops with random times: the heap must pop the
+  // same sequence as an ordered set keyed by (time, seq).
   Rng rng(12345);
   for (int round = 0; round < 5; ++round) {
     HeapQueue heap;
-    CalendarQueue calendar;
-    TimingWheelQueue wheel;
+    std::set<std::pair<std::int64_t, std::uint64_t>> reference;
     std::uint64_t seq = 0;
     double clock = 0;
     for (int op = 0; op < 4000; ++op) {
@@ -246,94 +96,60 @@ TEST(EventQueueEquivalence, RandomizedAcrossAllBackends) {
         const QueuedEvent e{TimePoint::from_seconds(t), seq, seq + 1};
         ++seq;
         heap.push(e);
-        calendar.push(e);
-        wheel.push(e);
+        reference.emplace(e.time.as_nanos(), e.seq);
       } else {
         const auto a = heap.pop_min();
-        const auto b = calendar.pop_min();
-        const auto c = wheel.pop_min();
         ASSERT_TRUE(a.has_value());
-        ASSERT_TRUE(b.has_value());
-        ASSERT_TRUE(c.has_value());
-        ASSERT_EQ(a->seq, b->seq) << "round " << round << " op " << op;
-        ASSERT_EQ(a->seq, c->seq) << "round " << round << " op " << op;
-        ASSERT_EQ(a->time.as_nanos(), b->time.as_nanos());
-        ASSERT_EQ(a->time.as_nanos(), c->time.as_nanos());
+        ASSERT_FALSE(reference.empty());
+        const auto expected = *reference.begin();
+        reference.erase(reference.begin());
+        ASSERT_EQ(a->seq, expected.second) << "round " << round << " op " << op;
+        ASSERT_EQ(a->time.as_nanos(), expected.first);
+        ASSERT_EQ(a->id, a->seq + 1);
         clock = a->time.as_seconds();  // times only move forward
       }
-      ASSERT_EQ(heap.size(), calendar.size());
-      ASSERT_EQ(heap.size(), wheel.size());
+      ASSERT_EQ(heap.size(), reference.size());
     }
-    // Drain all three.
-    for (;;) {
+    // Drain both.
+    for (const auto& expected : reference) {
       const auto a = heap.pop_min();
-      const auto b = calendar.pop_min();
-      const auto c = wheel.pop_min();
-      ASSERT_EQ(a.has_value(), b.has_value());
-      ASSERT_EQ(a.has_value(), c.has_value());
-      if (!a.has_value()) break;
-      ASSERT_EQ(a->seq, b->seq);
-      ASSERT_EQ(a->seq, c->seq);
+      ASSERT_TRUE(a.has_value());
+      ASSERT_EQ(a->seq, expected.second);
+      ASSERT_EQ(a->time.as_nanos(), expected.first);
     }
+    EXPECT_FALSE(heap.pop_min().has_value());
   }
 }
 
-TEST(SchedulerBackend, CalendarRunsEventsInOrder) {
-  Scheduler sched(SchedulerBackend::kCalendarQueue);
-  std::vector<int> order;
-  sched.schedule_at(TimePoint::from_seconds(3), [&] { order.push_back(3); });
-  sched.schedule_at(TimePoint::from_seconds(1), [&] { order.push_back(1); });
-  sched.schedule_at(TimePoint::from_seconds(2), [&] { order.push_back(2); });
-  sched.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(SchedulerBackend, CancellationWorksOnCalendar) {
-  Scheduler sched(SchedulerBackend::kCalendarQueue);
-  bool ran = false;
-  const EventId id =
-      sched.schedule_at(TimePoint::from_seconds(1), [&] { ran = true; });
-  EXPECT_TRUE(sched.cancel(id));
-  sched.run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(SchedulerBackend, FullSimulationIdenticalAcrossBackends) {
-  // The strongest equivalence check: a complete TCP simulation produces
-  // bit-identical results regardless of the pending-event structure.
-  // (The harness builds its own scheduler, so replicate a small scenario
-  // manually on each backend.)
-  const auto run = [](SchedulerBackend backend) {
-    Scheduler sched(backend);
-    net::Network network(sched);
-    const auto a = network.add_node();
-    const auto r = network.add_node();
-    const auto b = network.add_node();
-    net::LinkConfig access;
-    access.bandwidth_bps = 1e8;
-    network.add_duplex_link(a, r, access);
-    net::LinkConfig bottleneck;
-    bottleneck.bandwidth_bps = 5e6;
-    bottleneck.delay = sim::Duration::millis(15);
-    bottleneck.queue_limit_packets = 40;
-    network.add_duplex_link(r, b, bottleneck);
-    network.compute_static_routes();
-    tcp::Receiver recv(network, b, a, 1);
-    core::TcpPrSender pr(network, a, b, 1);
-    tcp::Receiver recv2(network, b, a, 2);
-    tcp::SackSender sack(network, a, b, 2);
-    pr.start();
-    sack.start();
-    sched.run_until(TimePoint::from_seconds(30));
-    return std::make_tuple(sched.processed_count(),
-                           pr.stats().segments_acked,
-                           sack.stats().segments_acked,
-                           pr.stats().retransmissions,
-                           sack.stats().retransmissions);
-  };
-  const auto heap_result = run(SchedulerBackend::kBinaryHeap);
-  EXPECT_EQ(heap_result, run(SchedulerBackend::kCalendarQueue));
-  EXPECT_EQ(heap_result, run(SchedulerBackend::kTimingWheel));
+TEST(Scheduler, FullSimulationMatchesGolden) {
+  // A complete two-flow TCP simulation against the result it produced
+  // when three scheduler backends still existed and all agreed on it.
+  Scheduler sched;
+  net::Network network(sched);
+  const auto a = network.add_node();
+  const auto r = network.add_node();
+  const auto b = network.add_node();
+  net::LinkConfig access;
+  access.bandwidth_bps = 1e8;
+  network.add_duplex_link(a, r, access);
+  net::LinkConfig bottleneck;
+  bottleneck.bandwidth_bps = 5e6;
+  bottleneck.delay = sim::Duration::millis(15);
+  bottleneck.queue_limit_packets = 40;
+  network.add_duplex_link(r, b, bottleneck);
+  network.compute_static_routes();
+  tcp::Receiver recv(network, b, a, 1);
+  core::TcpPrSender pr(network, a, b, 1);
+  tcp::Receiver recv2(network, b, a, 2);
+  tcp::SackSender sack(network, a, b, 2);
+  pr.start();
+  sack.start();
+  sched.run_until(TimePoint::from_seconds(30));
+  EXPECT_EQ(sched.processed_count(), 309u);
+  EXPECT_EQ(pr.stats().segments_acked, 7864u);
+  EXPECT_EQ(sack.stats().segments_acked, 9587u);
+  EXPECT_EQ(pr.stats().retransmissions, 225u);
+  EXPECT_EQ(sack.stats().retransmissions, 47u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Randomized model-based test for the scheduler: a long random sequence of
-// schedule / cancel / run_until operations executed against both backends
+// schedule / cancel / run_until operations executed against the scheduler
 // and checked against a naive reference model (sorted vector + linear
 // scan). Any divergence in execution order, fired set, or clock is a bug.
 #include <gtest/gtest.h>
@@ -71,13 +71,11 @@ class Model {
   std::uint64_t next_seq_ = 0;
 };
 
-class SchedulerFuzz : public ::testing::TestWithParam<
-                          std::tuple<SchedulerBackend, std::uint64_t>> {};
+class SchedulerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SchedulerFuzz, MatchesReferenceModel) {
-  const auto [backend, seed] = GetParam();
-  Rng rng(seed);
-  Scheduler sched(backend);
+  Rng rng(GetParam());
+  Scheduler sched;
   Model model;
   std::vector<int> fired;            // scheduler-side execution order
   std::vector<EventId> ids;          // tag -> EventId (index = tag)
@@ -97,8 +95,8 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
                                       [&fired, tag] { fired.push_back(tag); }));
       model.schedule(t, tag);
     } else if (u < 0.55) {
-      // Monotone burst: a run of nondecreasing times, the pattern the heap
-      // backend's sorted-append fast path targets; the next random
+      // Monotone burst: a run of nondecreasing times, the pattern the
+      // heap's sorted-append fast path targets; the next random
       // schedule/cancel exercises the exit back to heap mode.
       std::int64_t t = clock_ns;
       const int burst = 1 + static_cast<int>(rng.uniform_int(30));
@@ -154,21 +152,12 @@ TEST_P(SchedulerFuzz, MatchesReferenceModel) {
 
 std::string fuzz_case_name(
     const ::testing::TestParamInfo<SchedulerFuzz::ParamType>& info) {
-  const auto [backend, seed] = info.param;
-  const char* name = backend == SchedulerBackend::kBinaryHeap ? "heap_"
-                     : backend == SchedulerBackend::kCalendarQueue
-                         ? "calendar_"
-                         : "wheel_";
-  return std::string(name) + std::to_string(seed);
+  return "seed_" + std::to_string(info.param);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BackendsAndSeeds, SchedulerFuzz,
-    ::testing::Combine(::testing::Values(SchedulerBackend::kBinaryHeap,
-                                         SchedulerBackend::kCalendarQueue,
-                                         SchedulerBackend::kTimingWheel),
-                       ::testing::Values(1u, 22u, 333u, 4444u)),
-    fuzz_case_name);
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFuzz,
+                         ::testing::Values(1u, 22u, 333u, 4444u),
+                         fuzz_case_name);
 
 }  // namespace
 }  // namespace tcppr::sim

@@ -104,6 +104,16 @@ TEST(ValidateSelfTest, SampleFuzzCaseIsPure) {
   }
 }
 
+TEST(ValidateSelfTest, ReproducerCarriesParAndNoBatch) {
+  // A campaign under --par / --no-batch must print a replay command that
+  // runs the same engine, not the sequential batched default.
+  FuzzCase c = sample_fuzz_case(42);
+  EXPECT_EQ(reproducer(c), "tcppr_sim --fuzz-seed 42");
+  c.par_lps = 2;
+  c.batching = false;
+  EXPECT_EQ(reproducer(c), "tcppr_sim --fuzz-seed 42 --par 2 --no-batch");
+}
+
 TEST(ValidateSelfTest, FuzzCampaignSmoke) {
   // A handful of seeds, single-threaded: exercises the campaign driver
   // end to end (the long campaign runs in CI, non-gating).

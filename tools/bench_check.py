@@ -80,8 +80,8 @@ GATED_PATTERNS = [
 # scheduler event per delivered packet, and the 4096-flow dumbbell must
 # beat its unbatched twin by at least this factor end to end.
 BATCHED_ROW_RE = re.compile(r"^BM_(BatchDelivery/1$|ScaleFlowsDumbbell/.*batch:1$)")
-BATCH_SPEEDUP_PAIR = ("BM_ScaleFlowsDumbbell/flows:4096/backend:0/batch:1",
-                      "BM_ScaleFlowsDumbbell/flows:4096/backend:0/batch:0")
+BATCH_SPEEDUP_PAIR = ("BM_ScaleFlowsDumbbell/flows:4096/batch:1",
+                      "BM_ScaleFlowsDumbbell/flows:4096/batch:0")
 BATCH_MIN_SPEEDUP = 1.3
 EVENTS_PER_PACKET_MAX = 1.0
 

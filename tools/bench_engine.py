@@ -63,7 +63,7 @@ LPS_RE = re.compile(r"/lps:(\d+)")
 # medians. Everything else stays single-shot for runtime.
 RATIO_GROUPS = [
     # batched-vs-unbatched 4096-flow dumbbell speedup
-    ("scale_flows", r"BM_ScaleFlowsDumbbell/flows:4096/backend:0/batch:[01]$"),
+    ("scale_flows", r"BM_ScaleFlowsDumbbell/flows:4096/batch:[01]$"),
     # telemetry tap overhead vs the untapped forwarding loop
     ("micro_engine", r"BM_TelemetryTap/[01]$|BM_PacketForwardLoop$"),
     # parallel-efficiency floor: 4-LP vs 1-LP conservative engine rows on

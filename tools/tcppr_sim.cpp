@@ -11,11 +11,13 @@
 //   tcppr_sim --validate --topology dumbbell         # run under the checker
 //   tcppr_sim --fuzz 100 --jobs 4                    # fuzz seeds 1..100
 //   tcppr_sim --fuzz-seed 42                         # replay one fuzz case
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -39,8 +41,7 @@ using harness::TcpVariant;
 
 struct Args {
   std::string topology = "dumbbell";
-  std::string variant = "tcp-pr";
-  std::string queue = "heap";
+  TcpVariant variant = TcpVariant::kTcpPr;  // multipath sender
   double epsilon = 0;
   int pr_flows = 2;
   int sack_flows = 2;
@@ -73,12 +74,10 @@ struct Args {
   std::string fuzz_artifacts;
 };
 
-std::optional<sim::SchedulerBackend> parse_backend(const std::string& name) {
-  if (name == "heap") return sim::SchedulerBackend::kBinaryHeap;
-  if (name == "calendar") return sim::SchedulerBackend::kCalendarQueue;
-  if (name == "wheel") return sim::SchedulerBackend::kTimingWheel;
-  return std::nullopt;
-}
+constexpr const char* kTopologies[] = {
+    "dumbbell",   "parking-lot",      "multipath",
+    "many-flows", "many-flows-graph", "fan-dumbbell",
+};
 
 std::optional<TcpVariant> parse_variant(const std::string& name) {
   for (const TcpVariant v : harness::all_variants()) {
@@ -102,7 +101,6 @@ void usage() {
       "  --variant <name>      sender for multipath runs (default tcp-pr)\n"
       "                        names: tcp-pr sack reno newreno tahoe td-fr\n"
       "                        dsack-nm inc-by-1 inc-by-n ewma eifel tcp-door\n"
-      "  --queue heap|calendar|wheel  scheduler backend (default heap)\n"
       "  --epsilon <e>         multipath spread parameter (default 0)\n"
       "  --pr-flows <n>        dumbbell/parking-lot TCP-PR flows (default 2)\n"
       "  --sack-flows <n>      dumbbell/parking-lot TCP-SACK flows (default 2)\n"
@@ -229,10 +227,15 @@ bool parse(int argc, char** argv, Args& args) {
       std::exit(0);
     } else if (flag == "--topology") {
       args.topology = text();
+      if (std::find(std::begin(kTopologies), std::end(kTopologies),
+                    args.topology) == std::end(kTopologies)) {
+        usage_error(flag, args.topology.c_str(), "a topology name");
+      }
     } else if (flag == "--variant") {
-      args.variant = text();
-    } else if (flag == "--queue") {
-      args.queue = text();
+      const std::string name = text();
+      const auto variant = parse_variant(name);
+      if (!variant) usage_error(flag, name.c_str(), "a sender name");
+      args.variant = *variant;
     } else if (flag == "--flows") {
       args.flows = count(1);
     } else if (flag == "--fan-width") {
@@ -273,6 +276,9 @@ bool parse(int argc, char** argv, Args& args) {
       args.telemetry = true;
     } else if (flag == "--workload") {
       args.workload = text();
+      if (args.workload != "million" && !parse_workload(args.workload)) {
+        usage_error(flag, args.workload.c_str(), "poisson|web|onoff|million");
+      }
     } else if (flag == "--arrival-rate") {
       args.arrival_rate = real(positive, "arrivals per second > 0");
     } else if (flag == "--max-concurrent") {
@@ -302,8 +308,7 @@ bool parse(int argc, char** argv, Args& args) {
   return true;
 }
 
-std::unique_ptr<harness::Scenario> build(const Args& args,
-                                         sim::SchedulerBackend backend) {
+std::unique_ptr<harness::Scenario> build(const Args& args) {
   core::TcpPrConfig pr;
   pr.alpha = args.alpha;
   pr.beta = args.beta;
@@ -325,7 +330,6 @@ std::unique_ptr<harness::Scenario> build(const Args& args,
     }
     config.pr = pr;
     config.seed = args.seed;
-    config.backend = backend;
     return harness::make_many_flows(config);
   }
   if (args.topology == "fan-dumbbell") {
@@ -345,7 +349,6 @@ std::unique_ptr<harness::Scenario> build(const Args& args,
     }
     config.pr = pr;
     config.seed = args.seed;
-    config.backend = backend;
     return harness::make_fan_dumbbell(config);
   }
   if (args.topology == "dumbbell") {
@@ -358,7 +361,6 @@ std::unique_ptr<harness::Scenario> build(const Args& args,
     }
     config.pr = pr;
     config.seed = args.seed;
-    config.backend = backend;
     return harness::make_dumbbell(config);
   }
   if (args.topology == "parking-lot") {
@@ -370,28 +372,18 @@ std::unique_ptr<harness::Scenario> build(const Args& args,
     }
     config.pr = pr;
     config.seed = args.seed;
-    config.backend = backend;
     return harness::make_parking_lot(config);
   }
-  if (args.topology == "multipath") {
-    harness::MultipathConfig config;
-    const auto variant = parse_variant(args.variant);
-    if (!variant) {
-      std::fprintf(stderr, "unknown variant %s\n", args.variant.c_str());
-      return nullptr;
-    }
-    config.variant = *variant;
-    config.epsilon = args.epsilon;
-    if (args.link_delay_ms > 0) {
-      config.link_delay = sim::Duration::millis(args.link_delay_ms);
-    }
-    config.pr = pr;
-    config.seed = args.seed;
-    config.backend = backend;
-    return harness::make_multipath(config);
+  // "multipath": parse() admits no other name.
+  harness::MultipathConfig config;
+  config.variant = args.variant;
+  config.epsilon = args.epsilon;
+  if (args.link_delay_ms > 0) {
+    config.link_delay = sim::Duration::millis(args.link_delay_ms);
   }
-  std::fprintf(stderr, "unknown topology %s\n", args.topology.c_str());
-  return nullptr;
+  config.pr = pr;
+  config.seed = args.seed;
+  return harness::make_multipath(config);
 }
 
 }  // namespace
@@ -399,16 +391,9 @@ std::unique_ptr<harness::Scenario> build(const Args& args,
 int main(int argc, char** argv) {
   Args args;
   if (!parse(argc, argv, args)) return 1;
-  const auto backend = parse_backend(args.queue);
-  if (!backend) {
-    std::fprintf(stderr, "unknown queue backend %s (heap|calendar|wheel)\n",
-                 args.queue.c_str());
-    return 1;
-  }
 
   if (args.fuzz_seed) {
     auto c = validate::sample_fuzz_case(*args.fuzz_seed);
-    c.backend = *backend;
     c.par_lps = args.par;
     c.batching = !args.no_batch;
     std::printf("fuzz seed %llu: %s\n",
@@ -431,14 +416,14 @@ int main(int argc, char** argv) {
   if (args.fuzz_count > 0) {
     const int failures = validate::run_fuzz_campaign(
         args.seed, args.fuzz_count, args.jobs, /*quiet=*/false,
-        args.fuzz_artifacts, *backend, args.par);
+        args.fuzz_artifacts, args.par, !args.no_batch);
     std::printf("fuzz: %d/%d seeds clean\n", args.fuzz_count - failures,
                 args.fuzz_count);
     return failures == 0 ? 0 : 1;
   }
 
   net::set_hot_path_batching(!args.no_batch);
-  auto scenario = build(args, *backend);
+  auto scenario = build(args);
   net::set_hot_path_batching(true);
   if (!scenario) return 1;
 
@@ -523,14 +508,7 @@ int main(int argc, char** argv) {
       // fan-dumbbell plant built above.
       wc = workload::million_workload_config(args.flows);
     } else {
-      const auto kind = parse_workload(args.workload);
-      if (!kind) {
-        std::fprintf(stderr,
-                     "unknown workload %s (poisson|web|onoff|million)\n",
-                     args.workload.c_str());
-        return 1;
-      }
-      wc.kind = *kind;
+      wc.kind = *parse_workload(args.workload);  // checked in parse()
       wc.arrival_rate = args.arrival_rate;
     }
     if (args.max_concurrent > 0) wc.max_concurrent = args.max_concurrent;
@@ -553,9 +531,9 @@ int main(int argc, char** argv) {
   if (engine) engine->stop();
   if (checker) checker->finalize();
 
-  std::printf("topology=%s queue=%s duration=%.0fs measured=%.0fs seed=%llu\n",
-              args.topology.c_str(), args.queue.c_str(), args.duration_s,
-              args.measured_s, static_cast<unsigned long long>(args.seed));
+  std::printf("topology=%s duration=%.0fs measured=%.0fs seed=%llu\n",
+              args.topology.c_str(), args.duration_s, args.measured_s,
+              static_cast<unsigned long long>(args.seed));
   if (psim) {
     std::printf("parallel: %d LPs (%d requested), %llu windows, "
                 "%llu cross-LP packets\n",
