@@ -42,15 +42,14 @@ sim::Duration TcpPrSender::mxrtt() const {
 
 void TcpPrSender::update_ewrtt(sim::Duration sample) {
   const double s = sample.as_seconds();
-  const double w = std::max(cwnd_, 1.0);
+  const double decay = newton_alpha_root(pr_.alpha, std::max(cwnd_, 1.0),
+                                         pr_.newton_iterations);
   if (pr_.ablate_mean_ewrtt) {
     // Ablation: EWMA of the mean with the same per-RTT memory. Vulnerable
     // to RTT spikes (the reason the paper tracks a decaying max instead).
-    const double decay = newton_alpha_root(pr_.alpha, w, pr_.newton_iterations);
     ewrtt_s_ = ewrtt_s_ <= 0 ? s : decay * ewrtt_s_ + (1.0 - decay) * s;
     return;
   }
-  const double decay = newton_alpha_root(pr_.alpha, w, pr_.newton_iterations);
   ewrtt_s_ = std::max(decay * ewrtt_s_, s);  // eq. (1)
 }
 
@@ -64,40 +63,62 @@ tcp::SenderInvariantView TcpPrSender::invariant_view() const {
   v.ssthresh_floor = 1.0;  // §3.1 halving floors at one segment
   v.snd_una = stats_.segments_acked;
   v.snd_nxt = next_new_;
-  // TCP-PR splits its flight across to_be_ack_/to_be_sent_rtx_; the
-  // cumulative window identity does not apply. Structural consistency is
-  // checked here instead: both sets live inside [snd_una, snd_nxt), are
-  // disjoint, and memorize flags a subset of the outstanding packets.
-  v.window_bookkeeping = false;
+  // The records must cover [snd_una, snd_nxt): count those inside it.
+  const SeqNo base = snd_una();
+  v.window_bookkeeping = true;
+  v.tracked_in_window =
+      std::max<SeqNo>(0, next_new_ - std::max(base, stats_.segments_acked));
   v.has_rto = false;  // loss detection is mxrtt-based, no RFC 2988 state
   v.rtx_timer_armed = drop_timer_.armed() || unblock_timer_.armed();
-  v.rtx_timer_needed = !to_be_ack_.empty() || !to_be_sent_rtx_.empty();
+  v.rtx_timer_needed = !segs_.empty();
   v.rtx_timer_strict = false;  // the unblock timer may outlive its backoff
-  v.scoreboard_ok = true;
-  for (const auto& [s, unused] : to_be_ack_) {
-    if (s < stats_.segments_acked || s >= next_new_ ||
-        to_be_sent_rtx_.contains(s)) {
+  // Every record lies inside [snd_una, snd_nxt) and is exactly one of
+  // outstanding and rtx-pending, memorize flags only outstanding ones, no
+  // pending one sits below the cursor, and the counters match a recount.
+  v.scoreboard_ok = base >= stats_.segments_acked;
+  std::size_t outstanding = 0;
+  std::size_t memorized = 0;
+  for (std::size_t i = 0; i < segs_.size(); ++i) {
+    const bool out = (segs_[i].flags & kOutstanding) != 0;
+    const bool rtx = (segs_[i].flags & kRtxPending) != 0;
+    const bool mem = (segs_[i].flags & kMemorized) != 0;
+    outstanding += out;
+    memorized += mem;
+    const bool below_cursor = base + static_cast<SeqNo>(i) < rtx_cursor_;
+    if (out == rtx || (mem && !out) || (rtx && below_cursor)) {
       v.scoreboard_ok = false;
     }
   }
-  for (const SeqNo s : to_be_sent_rtx_) {
-    if (s < stats_.segments_acked || s >= next_new_) v.scoreboard_ok = false;
-  }
-  for (const SeqNo s : memorize_) {
-    if (!to_be_ack_.contains(s)) v.scoreboard_ok = false;
-  }
+  v.scoreboard_ok = v.scoreboard_ok && outstanding == outstanding_ &&
+                    memorized == memorized_;
   return v;
 }
 
+void TcpPrSender::drop_stale_stamps() {
+  // Skip the stamps of acked, declared-dropped and re-stamped segments.
+  for (; !send_order_.empty(); send_order_.drop_front()) {
+    const auto& [t, seq] = send_order_.front();
+    if (seq >= snd_una() && (seg(seq).flags & kOutstanding) &&
+        seg(seq).sent_at == t) {
+      return;
+    }
+  }
+}
+
 void TcpPrSender::send_one(SeqNo seq) {
-  const bool is_rtx = to_be_sent_rtx_.erase(seq) > 0;
-  OutstandingInfo info;
-  info.sent_at = now();
-  info.transmitted_at = now();
-  info.cwnd_at_send = cwnd_;
-  info.is_retransmission = is_rtx;
-  to_be_ack_[seq] = info;
-  send_order_.emplace(info.sent_at, seq);
+  if (seq == next_new_) {
+    segs_.push_back(Segment{});
+    ++next_new_;
+  }
+  Segment& s = seg(seq);
+  TCPPR_DCHECK((s.flags & kOutstanding) == 0);
+  const bool is_rtx = (s.flags & kRtxPending) != 0;
+  ++outstanding_;
+  s.flags = is_rtx ? kOutstanding | kRetransmission : kOutstanding;
+  s.sent_at = now();
+  s.transmitted_at = now();
+  s.cwnd_at_send = cwnd_;
+  send_order_.push_back({now(), seq});
   transmit_segment(seq, is_rtx, next_tx_serial_++);
 }
 
@@ -115,28 +136,28 @@ void TcpPrSender::flush_cwnd() {
     // Head repair runs outside the window check (like fast retransmit): the
     // lowest pending retransmission is the cumulative-ACK blocker, and the
     // stalled flight behind it must never be able to lock it out.
-    if (!to_be_sent_rtx_.empty()) {
-      const SeqNo head = *to_be_sent_rtx_.begin();
-      if (to_be_ack_.empty() || head < to_be_ack_.begin()->first) {
-        send_one(head);
-      }
+    // Every record is outstanding or pending, so the lowest pending seq
+    // lies below every outstanding one exactly when it is snd_una.
+    if (!segs_.empty() && (segs_.front().flags & kRtxPending) != 0) {
+      send_one(snd_una());
     }
 
     // Table 1: while cwnd > |to-be-ack|, send the smallest pending seq.
     // Dupack credits subtract segments known to have left the network (see
     // TcpPrConfig::dupack_window_credit).
     for (;;) {
-      std::size_t outstanding = to_be_ack_.size();
+      std::size_t outstanding = outstanding_;
       if (pr_.dupack_window_credit) {
         outstanding -= std::min<std::size_t>(
             outstanding, static_cast<std::size_t>(dup_credits_));
       }
       if (!(cwnd_ > static_cast<double>(outstanding))) break;
-      if (!to_be_sent_rtx_.empty()) {
-        send_one(*to_be_sent_rtx_.begin());
+      if (segs_.size() > outstanding_) {  // send the lowest pending rtx
+        rtx_cursor_ = std::max(rtx_cursor_, snd_una());
+        while ((seg(rtx_cursor_).flags & kRtxPending) == 0) ++rtx_cursor_;
+        send_one(rtx_cursor_);
       } else if (source_has(next_new_)) {
         send_one(next_new_);
-        ++next_new_;
       } else {
         break;
       }
@@ -146,18 +167,12 @@ void TcpPrSender::flush_cwnd() {
 }
 
 void TcpPrSender::rearm_drop_timer() {
-  // Drop stale send-order entries (acked packets, superseded transmissions).
-  while (!send_order_.empty()) {
-    const auto& [t, seq] = *send_order_.begin();
-    const auto it = to_be_ack_.find(seq);
-    if (it != to_be_ack_.end() && it->second.sent_at == t) break;
-    send_order_.erase(send_order_.begin());
-  }
+  drop_stale_stamps();
   if (send_order_.empty()) {
     drop_timer_.cancel();
     return;
   }
-  const sim::TimePoint deadline = send_order_.begin()->first + mxrtt();
+  const sim::TimePoint deadline = send_order_.front().first + mxrtt();
   // Re-armed on every ack; the deadline normally only moves later (the
   // head-of-line send time advances), so this is DeadlineTimer's no-cancel
   // fast path. Only an mxrtt decay that outpaces the head's progress — or
@@ -165,7 +180,7 @@ void TcpPrSender::rearm_drop_timer() {
   drop_timer_.arm(std::max(deadline, now()));
 }
 
-bool TcpPrSender::declaration_deferred(SeqNo seq) const {
+bool TcpPrSender::declaration_deferred(const Segment& s) const {
   // While a congestion episode is being repaired (cumulative ACK below the
   // recovery point, NewReno-style), only the memorize snapshot and already
   // repaired-and-lost segments may be declared. Segments first sent after
@@ -173,27 +188,21 @@ bool TcpPrSender::declaration_deferred(SeqNo seq) const {
   // about it; declaring them would masquerade as a fresh congestion event.
   if (pr_.ablate_no_memorize) return false;  // ablation: react per drop
   return !in_backoff_ && stats_.segments_acked < recover_point_ &&
-         !memorize_.contains(seq) && !drop_counts_.contains(seq);
+         (s.flags & kMemorized) == 0 && s.drops == 0;
 }
 
 void TcpPrSender::on_drop_timer() {
   // Declare drops for every packet whose deadline has passed.
   for (;;) {
-    while (!send_order_.empty()) {
-      const auto& [t, seq] = *send_order_.begin();
-      const auto it = to_be_ack_.find(seq);
-      if (it != to_be_ack_.end() && it->second.sent_at == t) break;
-      send_order_.erase(send_order_.begin());
-    }
+    drop_stale_stamps();
     if (send_order_.empty()) break;
-    const auto [t, seq] = *send_order_.begin();
+    const auto [t, seq] = send_order_.front();
     if (t + mxrtt() > now()) break;
-    if (declaration_deferred(seq)) {
+    if (declaration_deferred(seg(seq))) {
       // Push the deadline one round out; the episode normally resolves
       // (and acknowledges this packet) well before it expires again.
-      auto& out = to_be_ack_[seq];
-      out.sent_at = now();
-      send_order_.emplace(out.sent_at, seq);
+      seg(seq).sent_at = now();
+      send_order_.push_back({now(), seq});
       continue;  // the stale front entry is cleaned on the next pass
     }
     handle_drop(seq);
@@ -202,16 +211,18 @@ void TcpPrSender::on_drop_timer() {
 }
 
 void TcpPrSender::handle_drop(SeqNo seq) {
-  const auto it = to_be_ack_.find(seq);
-  TCPPR_CHECK(it != to_be_ack_.end());
-  const OutstandingInfo info = it->second;
+  Segment& s = seg(seq);
+  TCPPR_CHECK((s.flags & kOutstanding) != 0);
   // Deadline oracle: a drop may only be declared once the packet has been
   // outstanding for the full mxrtt envelope (Table 1 drop-detected gate).
-  if (validate_ && now() < info.sent_at + mxrtt()) {
+  if (validate_ && now() < s.sent_at + mxrtt()) {
     ++early_drop_declarations_;
   }
-  to_be_ack_.erase(it);
-  to_be_sent_rtx_.insert(seq);
+  const bool was_memorized = (s.flags & kMemorized) != 0;
+  s.flags = (s.flags & kRetransmission) | kRtxPending;
+  --outstanding_;
+  memorized_ -= was_memorized;
+  rtx_cursor_ = std::min(rtx_cursor_, seq);
   TCPPR_LOG_DEBUG("tcp-pr", "flow %d drop detected seq %lld", flow(),
                   static_cast<long long>(seq));
   if (probe_) probe_.drop_declared(now());
@@ -219,52 +230,50 @@ void TcpPrSender::handle_drop(SeqNo seq) {
   if (in_backoff_) {
     // §3.2: while cwnd == 1 after an extreme-loss reset, further drops
     // double mxrtt instead of halving — the usual exponential backoff.
-    memorize_.erase(seq);
     backoff_mxrtt_s_ =
         std::min(2.0 * backoff_mxrtt_s_, pr_.max_backoff.as_seconds());
     send_blocked_until_ = now() + mxrtt();
-    if (memorize_.empty()) cburst_ = 0;
+    if (memorized_ == 0) cburst_ = 0;
     return;
   }
 
-  auto& drop_record = drop_counts_[seq];
-  const int drops_of_seq = ++drop_record.drops;
-  drop_record.last_transmit = info.transmitted_at;
+  const int drops_of_seq = ++s.drops;
   if (pr_.enable_extreme_loss_handling &&
       pr_.extreme_loss_on_lost_retransmission &&
       drops_of_seq >= pr_.extreme_loss_rtx_drops) {
     // Repeated repairs of the same segment were lost — the situation in
     // which NewReno/SACK fast recovery stalls into a coarse timeout (see
     // TcpPrConfig).
-    memorize_.erase(seq);
-    enter_extreme_loss(seq);
+    enter_extreme_loss();
     return;
   }
 
-  const bool was_memorized = memorize_.erase(seq) > 0;
   if (!was_memorized || pr_.ablate_no_memorize) {
     // First drop of a new congestion event: snapshot the outstanding
     // packets and halve from the cwnd in force when `seq` was sent.
     if (!pr_.ablate_no_memorize) {
-      memorize_.clear();
-      for (auto& [s, out] : to_be_ack_) {
-        memorize_.insert(s);
+      const SeqNo base = snd_una();
+      for (std::size_t i = 0; i < segs_.size(); ++i) {
+        Segment& out = segs_[i];
+        if ((out.flags & kOutstanding) == 0) continue;
+        out.flags |= kMemorized;
         if (pr_.restamp_on_congestion_event) {
           // See TcpPrConfig::restamp_on_congestion_event.
           out.sent_at = now();
-          send_order_.emplace(out.sent_at, s);
+          send_order_.push_back({now(), base + static_cast<SeqNo>(i)});
         }
       }
-      burst_snapshot_size_ = memorize_.size();
+      memorized_ = outstanding_;
+      burst_snapshot_size_ = memorized_;
     }
     recover_point_ = next_new_;
     episode_started_ = now();
     const double basis =
-        pr_.ablate_halve_current_cwnd ? cwnd_ : info.cwnd_at_send;
+        pr_.ablate_halve_current_cwnd ? cwnd_ : s.cwnd_at_send;
     TCPPR_LOG_DEBUG("tcp-pr",
                     "flow %d halving on seq %lld (rtx=%d basis=%.1f)", flow(),
                     static_cast<long long>(seq),
-                    info.is_retransmission ? 1 : 0, basis);
+                    (s.flags & kRetransmission) != 0 ? 1 : 0, basis);
     // The snapshot rule reduces to cwnd(n)/2 — but a window that grew past
     // the snapshot during the detection delay must never be *raised* by a
     // "halving".
@@ -289,15 +298,14 @@ void TcpPrSender::handle_drop(SeqNo seq) {
         now() - episode_started_ >= pr_.extreme_loss_floor &&
         static_cast<double>(cburst_) >
             static_cast<double>(burst_snapshot_size_) / 2.0 + 1.0) {
-      enter_extreme_loss(seq);
+      enter_extreme_loss();
       return;
     }
   }
-  if (memorize_.empty()) cburst_ = 0;
+  if (memorized_ == 0) cburst_ = 0;
 }
 
-void TcpPrSender::enter_extreme_loss(SeqNo seq) {
-  (void)seq;
+void TcpPrSender::enter_extreme_loss() {
   ++stats_.extreme_loss_events;
   ++stats_.timeouts;  // comparable to a NewReno/SACK coarse timeout
   TCPPR_LOG_DEBUG("tcp-pr", "flow %d extreme loss (cburst=%d)", flow(),
@@ -311,10 +319,14 @@ void TcpPrSender::enter_extreme_loss(SeqNo seq) {
   // window (go-back-N): everything outstanding returns to the to-be-sent
   // side; whatever the receiver already has is cleaned out by the
   // cumulative ACKs that follow the first repair.
-  for (const auto& [s, unused] : to_be_ack_) to_be_sent_rtx_.insert(s);
-  to_be_ack_.clear();
+  for (std::size_t i = 0; i < segs_.size(); ++i) {
+    segs_[i].flags = kRtxPending;
+    segs_[i].drops = 0;
+  }
+  outstanding_ = 0;
+  memorized_ = 0;
+  rtx_cursor_ = snd_una();
   send_order_.clear();
-  memorize_.clear();
   // The reset forgets the loss episode wholesale, and the per-segment drop
   // counts with it: every outstanding segment goes back to the to-be-sent
   // side, so a drop of its *next* transmission is a fresh event, not
@@ -324,7 +336,6 @@ void TcpPrSender::enter_extreme_loss(SeqNo seq) {
   // window (recover_point_) matches: NewReno leaves fast recovery on a
   // coarse timeout, and a stale open episode would otherwise defer drop
   // declarations for segments whose counts were just erased.
-  drop_counts_.clear();
   recover_point_ = stats_.segments_acked;
   cburst_ = 0;
   dup_credits_ = 0;
@@ -343,21 +354,23 @@ void TcpPrSender::enter_extreme_loss(SeqNo seq) {
 void TcpPrSender::on_ack_packet(const net::Packet& ack) {
   const SeqNo a = ack.tcp.ack;
 
-  // Remove every newly acknowledged packet (cumulative ACK semantics).
+  // Remove every newly acknowledged packet (cumulative ACK semantics),
+  // queued retransmissions below the ACK point included.
   bool any = false;
   sim::TimePoint newest_send;
-  auto it = to_be_ack_.begin();
-  while (it != to_be_ack_.end() && it->first < a) {
-    if (!any || it->second.transmitted_at > newest_send) {
-      newest_send = it->second.transmitted_at;
+  Segment last_acked;  // the record of a - 1, if this ACK covers it
+  while (!segs_.empty() && snd_una() < a) {
+    const Segment& s = segs_.front();
+    if ((s.flags & kOutstanding) != 0) {
+      newest_send = any ? std::max(newest_send, s.transmitted_at)
+                        : s.transmitted_at;
+      any = true;
+      --outstanding_;
     }
-    any = true;
-    memorize_.erase(it->first);
-    it = to_be_ack_.erase(it);
+    memorized_ -= (s.flags & kMemorized) != 0;
+    if (snd_una() == a - 1) last_acked = s;
+    segs_.drop_front();
   }
-  // Queued retransmissions below the ACK point are no longer needed.
-  to_be_sent_rtx_.erase(to_be_sent_rtx_.begin(),
-                        to_be_sent_rtx_.lower_bound(a));
 
   // The ACK can advance the window even when every covered segment was
   // already declared dropped (their to-be-ack entries are gone) — e.g.
@@ -368,7 +381,7 @@ void TcpPrSender::on_ack_packet(const net::Packet& ack) {
   if (!any && !progress) {
     // Duplicate ACK: never a loss signal, but proof that one segment
     // reached the receiver — worth one window credit.
-    if (pr_.dupack_window_credit && !to_be_ack_.empty()) {
+    if (pr_.dupack_window_credit && outstanding_ > 0) {
       ++dup_credits_;
       if (probe_) probe_.dup_credits(now(), dup_credits_);
       flush_cwnd();
@@ -376,18 +389,15 @@ void TcpPrSender::on_ack_packet(const net::Packet& ack) {
     return;
   }
   dup_credits_ = 0;
-  if (memorize_.empty()) cburst_ = 0;
+  if (memorized_ == 0) cburst_ = 0;
 
-  // Table 1 lines 13-14: sample from the packet whose ACK just arrived.
+  // Table 1 lines 13-14: sample from the packet whose ACK just arrived,
+  // or from the last transmission of a declared-dropped a - 1.
   if (any) {
     update_ewrtt(now() - newest_send);
-  } else {
-    const auto dropped = drop_counts_.find(a - 1);
-    if (dropped != drop_counts_.end()) {
-      update_ewrtt(now() - dropped->second.last_transmit);
-    }
+  } else if (last_acked.drops > 0) {
+    update_ewrtt(now() - last_acked.transmitted_at);
   }
-  drop_counts_.erase(drop_counts_.begin(), drop_counts_.lower_bound(a));
 
   if (in_backoff_) {
     in_backoff_ = false;
@@ -417,7 +427,7 @@ void TcpPrSender::on_ack_packet(const net::Packet& ack) {
     // paper's figures are drawn from.
     probe_.ewrtt(now(), ewrtt_s_);
     probe_.mxrtt(now(), mxrtt().as_seconds());
-    probe_.outstanding(now(), to_be_ack_.size());
+    probe_.outstanding(now(), outstanding_);
     probe_.dup_credits(now(), dup_credits_);
   }
 

@@ -22,10 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
+#include <iterator>
+#include <utility>
 
 #include "tcp/sender_base.hpp"
+#include "util/ring_deque.hpp"
 
 namespace tcppr::core {
 
@@ -135,9 +136,11 @@ class TcpPrSender final : public tcp::SenderBase {
   // Current maximum-RTT estimate driving drop detection.
   sim::Duration mxrtt() const;
   double ewrtt_seconds() const { return ewrtt_s_; }
-  std::size_t outstanding() const { return to_be_ack_.size(); }
-  std::size_t memorize_size() const { return memorize_.size(); }
-  std::size_t pending_retransmits() const { return to_be_sent_rtx_.size(); }
+  std::size_t outstanding() const { return outstanding_; }
+  std::size_t memorize_size() const { return memorized_; }
+  std::size_t pending_retransmits() const {
+    return segs_.size() - outstanding_;
+  }
   bool in_backoff() const { return in_backoff_; }
   int burst_drop_count() const { return cburst_; }
 
@@ -149,24 +152,39 @@ class TcpPrSender final : public tcp::SenderBase {
   void on_ack_packet(const net::Packet& ack) override;
 
  private:
-  struct OutstandingInfo {
+  // One record per segment in [snd_una, snd_nxt): Table 1's lists are
+  // flags over that dense range. Every record is exactly one of
+  // kOutstanding (to-be-ack) and kRtxPending (to-be-sent: declared
+  // dropped), and kMemorized (Remark 1's snapshot) flags outstanding ones.
+  struct Segment {
     // Deadline timestamp: refreshed by re-stamping/deferral (see DESIGN.md
     // §6.1); drop detection compares against sent_at + mxrtt.
     sim::TimePoint sent_at;
     // True transmission time, never refreshed: the basis of eq. (1)'s
-    // sample-rtt, so the estimator can learn RTTs above the current mxrtt.
+    // sample-rtt, so the estimator can learn RTTs above the current mxrtt
+    // (also from a late ACK of a segment already declared dropped).
     sim::TimePoint transmitted_at;
-    double cwnd_at_send = 0;      // cwnd snapshot (halving basis, §3.1)
-    bool is_retransmission = false;
+    double cwnd_at_send = 0;  // cwnd snapshot (halving basis, §3.1)
+    int drops = 0;  // timer-declared drops since the last extreme loss
+    std::uint8_t flags = 0;
   };
+  // kRetransmission: the last transmission was a retransmission.
+  enum : std::uint8_t {
+    kOutstanding = 1, kRtxPending = 2, kMemorized = 4, kRetransmission = 8
+  };
+  SeqNo snd_una() const { return next_new_ - std::ssize(segs_); }
+  Segment& seg(SeqNo seq) {
+    return segs_[static_cast<std::size_t>(seq - snd_una())];
+  }
+  void drop_stale_stamps();
 
   void flush_cwnd();                // Table 1: flush-cwnd()
   void handle_drop(SeqNo seq);      // Table 1: drop-detected event
-  bool declaration_deferred(SeqNo seq) const;
+  bool declaration_deferred(const Segment& s) const;
   void update_ewrtt(sim::Duration sample);
   void rearm_drop_timer();
   void on_drop_timer();
-  void enter_extreme_loss(SeqNo seq);
+  void enter_extreme_loss();
   void send_one(SeqNo seq);
 
   TcpPrConfig pr_;
@@ -184,15 +202,14 @@ class TcpPrSender final : public tcp::SenderBase {
 
   SeqNo next_new_ = 0;
   int dup_credits_ = 0;  // dupacks since the last cumulative-ACK advance
-  std::set<SeqNo> to_be_sent_rtx_;  // pending retransmissions (smallest first)
-  struct DropRecord {
-    int drops = 0;                    // timer-declared drops of this segment
-    sim::TimePoint last_transmit;     // for RTT samples of late ACKs
-  };
-  std::map<SeqNo, DropRecord> drop_counts_;
-  std::map<SeqNo, OutstandingInfo> to_be_ack_;
-  std::multimap<sim::TimePoint, SeqNo> send_order_;  // lazy index by send time
-  std::set<SeqNo> memorize_;  // flagged subset of to_be_ack_ (see Remark 1)
+  util::RingDeque<Segment> segs_;  // segs_[i] is seq snd_una() + i
+  std::size_t outstanding_ = 0;    // records flagged kOutstanding
+  std::size_t memorized_ = 0;      // records flagged kMemorized
+  SeqNo rtx_cursor_ = 0;  // no kRtxPending record below this seq
+  // Drop-timer queue of (sent_at stamp, seq), valid while the segment is
+  // outstanding with that stamp. Every stamp is taken at now(), so
+  // appending keeps it sorted, and equal stamps keep insertion order.
+  util::RingDeque<std::pair<sim::TimePoint, SeqNo>> send_order_;
 
   std::uint32_t next_tx_serial_ = 1;
   bool validate_ = false;

@@ -1,7 +1,5 @@
 #include "tcp/eifel.hpp"
 
-#include <algorithm>
-
 #include "util/logging.hpp"
 
 namespace tcppr::tcp {
@@ -15,19 +13,14 @@ void EifelSender::on_new_ack_hook(const net::Packet& ack) {
   // records for the newly covered region (they are pruned with slack).
   // If the ACK covers a retransmitted segment but echoes a timestamp taken
   // before that retransmission, the original transmission produced it.
-  auto it = recent_rtx_.lower_bound(0);
-  bool spurious = false;
-  int extent = 0;
-  SeqNo seq = -1;
-  for (; it != recent_rtx_.end() && it->first < ack.tcp.ack; ++it) {
-    const double rtx_time_s = it->second.rtx_time.as_seconds();
-    if (ack.tcp.ts_echo > 0 && ack.tcp.ts_echo < rtx_time_s) {
-      spurious = true;
-      seq = it->first;
-      extent = std::max(extent, it->second.episode_dupacks);
+  SeqNo seq = -1;  // the newest spurious retransmission, if any
+  for (const auto& [s, rtx] : recent_rtx_) {
+    if (s >= ack.tcp.ack) break;
+    if (ack.tcp.ts_echo > 0 && ack.tcp.ts_echo < rtx.rtx_time.as_seconds()) {
+      seq = s;
     }
   }
-  if (!spurious) return;
+  if (seq < 0) return;
   recent_rtx_.erase(recent_rtx_.begin(),
                     recent_rtx_.lower_bound(ack.tcp.ack));
   ++stats_.spurious_retransmits_detected;
@@ -35,7 +28,6 @@ void EifelSender::on_new_ack_hook(const net::Packet& ack) {
                   static_cast<long long>(seq));
   // Eifel restores the full pre-retransmission state.
   undo_last_reduction(/*full_restore=*/true);
-  (void)extent;
 }
 
 }  // namespace tcppr::tcp

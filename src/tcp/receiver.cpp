@@ -1,6 +1,7 @@
 #include "tcp/receiver.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "util/check.hpp"
@@ -26,7 +27,7 @@ void Receiver::set_metric_registry(obs::MetricRegistry& registry) {
   if (probe_) {
     const sim::TimePoint t = sched().now();
     probe_.rcv_next(t, static_cast<double>(rcv_next_));
-    probe_.ooo_buffered(t, static_cast<double>(above_.size()));
+    probe_.ooo_buffered(t, static_cast<double>(buffered_));
   }
 }
 
@@ -82,8 +83,10 @@ void Receiver::on_data(const net::Packet& pkt) {
   if (data_tap_) data_tap_(pkt);
   const SeqNo seq = pkt.tcp.seq;
 
+  const SeqNo offset = seq - rcv_next_;
   bool duplicate = false;
-  if (seq < rcv_next_ || above_.contains(seq)) {
+  if (offset < 0 || (offset < std::ssize(above_) &&
+                     above_[static_cast<std::size_t>(offset)] != 0)) {
     duplicate = true;
     ++stats_.duplicates;
   } else if (seq == rcv_next_) {
@@ -93,8 +96,10 @@ void Receiver::on_data(const net::Packet& pkt) {
     }
     ++rcv_next_;
     // Pull buffered segments into the in-order stream.
-    while (!above_.empty() && *above_.begin() == rcv_next_) {
-      above_.erase(above_.begin());
+    if (!above_.empty()) above_.drop_front();
+    while (!above_.empty() && above_.front() != 0) {
+      above_.drop_front();
+      --buffered_;
       if (delivery_hash_enabled_) {
         delivered_hash_ = util::fnv1a_u64(delivered_hash_,
                                           util::payload_word(flow_, rcv_next_));
@@ -114,14 +119,16 @@ void Receiver::on_data(const net::Packet& pkt) {
     ++stats_.out_of_order;
     stats_.max_reorder_extent =
         std::max(stats_.max_reorder_extent, seq - rcv_next_);
-    above_.insert(seq);
+    while (std::ssize(above_) <= offset) above_.push_back(0);
+    above_[static_cast<std::size_t>(offset)] = 1;
+    ++buffered_;
     record_sack_block(seq, seq + 1);
     if (probe_) probe_.out_of_order(sched().now());
   }
   if (probe_) {
     const sim::TimePoint t = sched().now();
     probe_.rcv_next(t, static_cast<double>(rcv_next_));
-    probe_.ooo_buffered(t, static_cast<double>(above_.size()));
+    probe_.ooo_buffered(t, static_cast<double>(buffered_));
   }
   stats_.in_order_point = rcv_next_;
   stats_.goodput_bytes =

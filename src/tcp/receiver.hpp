@@ -6,9 +6,9 @@
 // SACK/DSACK options, so one receiver serves every variant.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <list>
-#include <set>
 
 #include "net/network.hpp"
 #include "net/node.hpp"
@@ -17,6 +17,7 @@
 #include "tcp/types.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
+#include "util/ring_deque.hpp"
 
 namespace tcppr::tcp {
 
@@ -73,7 +74,7 @@ class Receiver final : public net::Agent {
     delack_timer_.set_stamp_entity(static_cast<std::uint32_t>(local_));
   }
   // Count of segments buffered above the in-order point.
-  std::size_t ooo_buffered() const { return above_.size(); }
+  std::size_t ooo_buffered() const { return buffered_; }
 
   // Current SACK blocks, recency-ordered (validation layer inspects their
   // structure: disjoint, above the cumulative ACK point).
@@ -84,7 +85,6 @@ class Receiver final : public net::Agent {
   // stream into an FNV-1a running hash. One predictable branch per
   // delivered segment when off (the src/obs discipline).
   void enable_delivery_validation() { delivery_hash_enabled_ = true; }
-  bool delivery_validation_enabled() const { return delivery_hash_enabled_; }
   std::uint64_t delivered_hash() const { return delivered_hash_; }
   // Test-only mutation knob: perturb the running hash so the checker's
   // payload-checksum invariant trips (mutation self-test).
@@ -131,7 +131,11 @@ class Receiver final : public net::Agent {
   SeqNo rcv_next_ = 0;
   bool delivery_hash_enabled_ = false;
   std::uint64_t delivered_hash_ = util::kFnvOffsetBasis;
-  std::set<SeqNo> above_;  // received segments > rcv_next_
+  // above_[i] != 0 iff seq rcv_next_ + i is buffered. The ring ends at the
+  // highest buffered seq: empty iff nothing is, never longer than the
+  // reordering extent.
+  util::RingDeque<std::uint8_t> above_;
+  std::size_t buffered_ = 0;
   // Recency-ordered SACK blocks (most recently updated first, RFC 2018).
   std::list<net::SackBlock> sack_blocks_;
 

@@ -1,53 +1,19 @@
 #include "tcp/reno.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 #include "util/check.hpp"
 #include "util/logging.hpp"
 
 namespace tcppr::tcp {
 
-RenoSender::RenoSender(net::Network& network, net::NodeId local,
-                       net::NodeId remote, FlowId flow, TcpConfig config)
-    : SenderBase(network, local, remote, flow, config),
-      cwnd_(config.initial_cwnd),
-      ssthresh_(config.max_cwnd),
-      rto_(RtoEstimator::Params{config.initial_rto, config.min_rto,
-                                config.max_rto}),
-      rto_timer_(network.scheduler(), [this] { on_timeout(); }) {}
-
 void RenoSender::on_start() {
   send_new_data();
   restart_rto_timer();
 }
 
-SenderInvariantView RenoSender::invariant_view() const {
-  SenderInvariantView v;
-  v.valid = true;
-  v.cwnd = cwnd_;
-  v.ssthresh = ssthresh_;
-  v.ssthresh_floor = 2.0;
-  v.snd_una = snd_una_;
-  v.snd_nxt = snd_nxt_;
-  v.window_bookkeeping = true;
-  // Count only records inside the window: a go-back-N timeout rewinds
-  // snd_nxt_ without erasing the entries above it.
-  v.tracked_in_window = static_cast<std::int64_t>(std::distance(
-      tx_info_.lower_bound(snd_una_), tx_info_.lower_bound(snd_nxt_)));
-  v.has_rto = true;
-  v.rto = rto_.rto();
-  v.min_rto = rto_.params().min;
-  v.max_rto = rto_.params().max;
-  v.rtx_timer_armed = rto_timer_.armed();
-  v.rtx_timer_needed = started() && flight_size() > 0;
-  v.rtx_timer_strict = true;
-  return v;
-}
-
 double RenoSender::usable_window() const {
-  const double w = std::min(cwnd_ + inflation_, config_.max_cwnd);
-  return w;
+  return std::min(cwnd_ + inflation_, config_.max_cwnd);
 }
 
 void RenoSender::send_new_data() {
@@ -60,42 +26,13 @@ void RenoSender::send_new_data() {
     SenderBase::BurstScope burst(*this);
     while (static_cast<double>(flight_size()) + 1.0 <= usable_window() &&
            source_has(snd_nxt_)) {
-      auto& info = tx_info_[snd_nxt_];
       // After a go-back-N timeout, "new" sends below the old snd_nxt are
-      // really retransmissions; tx_count distinguishes them.
-      const bool rtx = info.tx_count > 0;
-      info.last_tx = now();
-      ++info.tx_count;
-      transmit_segment(snd_nxt_, rtx, next_tx_serial_++);
-      ++snd_nxt_;
+      // really retransmissions; send_next's records distinguish them.
+      send_next();
       sent = true;
     }
   }
   if (sent && !was_armed) restart_rto_timer();
-}
-
-void RenoSender::retransmit(SeqNo seq) {
-  auto& info = tx_info_[seq];
-  info.last_tx = now();
-  ++info.tx_count;
-  transmit_segment(seq, /*is_retransmission=*/true, next_tx_serial_++);
-}
-
-void RenoSender::restart_rto_timer() {
-  if (flight_size() <= 0) {
-    rto_timer_.cancel();
-    return;
-  }
-  rto_timer_.arm(now() + rto_.rto());
-}
-
-void RenoSender::sample_rtt(SeqNo newly_acked_up_to) {
-  // Karn's rule: only sample segments transmitted exactly once; the
-  // newest acknowledged segment gives the freshest estimate.
-  const auto it = tx_info_.find(newly_acked_up_to - 1);
-  if (it == tx_info_.end()) return;
-  if (it->second.tx_count != 1) return;
-  rto_.add_sample(now() - it->second.last_tx);
 }
 
 void RenoSender::on_ack_packet(const net::Packet& ack) {
@@ -113,14 +50,15 @@ void RenoSender::handle_new_ack(SeqNo ack) {
   sample_rtt(ack);
   rto_.reset_backoff();
   on_new_ack_hook();
+  // Slide the window before the recovery handlers retransmit at it.
+  for (; snd_una_ < ack && !segs_.empty(); ++snd_una_) segs_.drop_front();
+  snd_una_ = ack;
   if (in_recovery_) {
     handle_new_ack_in_recovery(ack);
   } else {
     dupacks_ = 0;
-    snd_una_ = std::max(snd_una_, ack);
     open_window_on_ack();
   }
-  tx_info_.erase(tx_info_.begin(), tx_info_.lower_bound(snd_una_));
   note_progress(snd_una_);
   // RFC 3782 "Impatient": during recovery only the first partial ACK may
   // reset the retransmission timer, so a window with many holes escapes to
@@ -130,11 +68,10 @@ void RenoSender::handle_new_ack(SeqNo ack) {
   if (!in_recovery_) restart_rto_timer();
 }
 
-void RenoSender::handle_new_ack_in_recovery(SeqNo ack) {
+void RenoSender::handle_new_ack_in_recovery(SeqNo) {
   // Classic Reno leaves recovery on the first new ACK, whether or not it
   // covers every segment outstanding at the loss (its known weakness with
   // multiple drops per window).
-  snd_una_ = std::max(snd_una_, ack);
   dupacks_ = 0;
   exit_recovery();
 }

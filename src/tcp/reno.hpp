@@ -4,35 +4,17 @@
 // NewRenoSender refines recovery behaviour on partial ACKs.
 #pragma once
 
-#include <cstdint>
-#include <map>
-
 #include "tcp/rto.hpp"
-#include "tcp/sender_base.hpp"
 
 namespace tcppr::tcp {
 
-class RenoSender : public SenderBase {
+class RenoSender : public RtoSender {
  public:
   RenoSender(net::Network& network, net::NodeId local, net::NodeId remote,
-             FlowId flow, TcpConfig config = {});
+             FlowId flow, TcpConfig config = {})
+      : RtoSender(network, local, remote, flow, config) {}
 
-  double cwnd() const override { return cwnd_; }
   const char* algorithm() const override { return "reno"; }
-  SenderInvariantView invariant_view() const override;
-
-  double ssthresh() const { return ssthresh_; }
-  bool in_fast_recovery() const { return in_recovery_; }
-  SeqNo snd_una() const { return snd_una_; }
-  SeqNo snd_nxt() const { return snd_nxt_; }
-  sim::Duration current_rto() const { return rto_.rto(); }
-  const RtoEstimator& rto_estimator() const { return rto_; }
-
-  void rebind_scheduler(sim::Scheduler& shard) override {
-    SenderBase::rebind_scheduler(shard);
-    rto_timer_.rebind(shard);
-    rto_timer_.set_stamp_entity(static_cast<std::uint32_t>(local_node()));
-  }
 
  protected:
   void on_start() override;
@@ -47,33 +29,13 @@ class RenoSender : public SenderBase {
   virtual void handle_dupack(const net::Packet& ack);
   void exit_recovery();
   void open_window_on_ack();   // slow start / congestion avoidance growth
-  void retransmit(SeqNo seq);
   void send_new_data();        // fill the usable window
-  void on_timeout();
-  void restart_rto_timer();
-  void sample_rtt(SeqNo newly_acked_up_to);
+  void on_timeout() override;
   double usable_window() const;
   SeqNo flight_size() const { return snd_nxt_ - snd_una_; }
 
-  double cwnd_ = 1;
-  double ssthresh_;
-  SeqNo snd_una_ = 0;
-  SeqNo snd_nxt_ = 0;
-  int dupacks_ = 0;
   int partial_acks_ = 0;  // partial ACKs in the current recovery episode
-  bool in_recovery_ = false;
-  SeqNo recover_ = 0;        // highest seq sent when recovery began
-  double inflation_ = 0;     // dupack window inflation during recovery
-  std::uint32_t next_tx_serial_ = 1;
-
-  struct TxInfo {
-    sim::TimePoint last_tx;
-    int tx_count = 0;
-  };
-  std::map<SeqNo, TxInfo> tx_info_;  // [snd_una_, snd_nxt_)
-
-  RtoEstimator rto_;
-  sim::DeadlineTimer rto_timer_;
+  double inflation_ = 0;  // dupack window inflation during recovery
 };
 
 class NewRenoSender : public RenoSender {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 
 #include "util/check.hpp"
 #include "util/logging.hpp"
@@ -11,13 +10,8 @@ namespace tcppr::tcp {
 
 SackSender::SackSender(net::Network& network, net::NodeId local,
                        net::NodeId remote, FlowId flow, TcpConfig config)
-    : SenderBase(network, local, remote, flow, config),
-      cwnd_(config.initial_cwnd),
-      ssthresh_(config.max_cwnd),
-      dupthresh_(config.dupthresh),
-      rto_(RtoEstimator::Params{config.initial_rto, config.min_rto,
-                                config.max_rto}),
-      rto_timer_(network.scheduler(), [this] { on_timeout(); }) {}
+    : RtoSender(network, local, remote, flow, config),
+      dupthresh_(config.dupthresh) {}
 
 void SackSender::on_start() {
   send_more();
@@ -25,38 +19,28 @@ void SackSender::on_start() {
 }
 
 SenderInvariantView SackSender::invariant_view() const {
-  SenderInvariantView v;
-  v.valid = true;
-  v.cwnd = cwnd_;
-  v.ssthresh = ssthresh_;
-  v.ssthresh_floor = 2.0;
-  v.snd_una = snd_una_;
-  v.snd_nxt = snd_nxt_;
-  v.window_bookkeeping = true;
-  v.tracked_in_window = static_cast<std::int64_t>(std::distance(
-      tx_info_.lower_bound(snd_una_), tx_info_.lower_bound(snd_nxt_)));
-  v.has_rto = true;
-  v.rto = rto_.rto();
-  v.min_rto = rto_.params().min;
-  v.max_rto = rto_.params().max;
-  v.rtx_timer_armed = rto_timer_.armed();
-  v.rtx_timer_needed = started() && snd_nxt_ > snd_una_;
-  v.rtx_timer_strict = true;
+  SenderInvariantView v = RtoSender::invariant_view();
   // Scoreboard structure (RFC 3517): every mark lives inside the window,
-  // a segment is never both SACKed and lost, and only lost segments can
-  // have retransmissions in flight.
-  v.scoreboard_ok = true;
-  for (const SeqNo s : sacked_) {
-    if (s < snd_una_ || s >= snd_nxt_ || lost_.contains(s)) {
+  // a segment is never both SACKed and lost, only lost segments can have
+  // retransmissions in flight, no lost unretransmitted one sits below the
+  // NextSeg cursor, and the counters match a recount.
+  std::size_t sacked = 0;
+  std::size_t lost = 0;
+  std::size_t rtx = 0;
+  for (std::size_t i = 0; i < segs_.size(); ++i) {
+    const std::uint8_t f = segs_[i].flags;
+    const SeqNo seq = snd_una_ + static_cast<SeqNo>(i);
+    sacked += (f & kSacked) != 0;
+    lost += (f & kLost) != 0;
+    rtx += (f & kRtxInFlight) != 0;
+    if ((f != 0 && seq >= snd_nxt_) || ((f & kSacked) && (f & kLost)) ||
+        ((f & kRtxInFlight) && !(f & kLost)) ||
+        (f == kLost && seq < next_seg_)) {
       v.scoreboard_ok = false;
     }
   }
-  for (const SeqNo s : lost_) {
-    if (s < snd_una_ || s >= snd_nxt_) v.scoreboard_ok = false;
-  }
-  for (const SeqNo s : rtx_in_flight_) {
-    if (!lost_.contains(s)) v.scoreboard_ok = false;
-  }
+  v.scoreboard_ok = v.scoreboard_ok && sacked == sacked_count_ &&
+                    lost == lost_count_ && rtx == rtx_count_;
   return v;
 }
 
@@ -69,16 +53,16 @@ int SackSender::effective_dupthresh() const {
 }
 
 double SackSender::pipe() const {
-  // RFC 3517 SetPipe via set cardinalities: segments in flight that are
+  // RFC 3517 SetPipe via flag counts: segments in flight that are
   // neither SACKed nor marked lost, plus retransmissions in flight.
   // Against a receiver that never sends SACK blocks, each duplicate ACK
   // stands in for one delivered-but-unidentified segment (Linux's "reno
   // sack" emulation) — without it the pipe never drains during recovery
   // and the retransmission cannot be clocked out.
   const double range = static_cast<double>(snd_nxt_ - snd_una_);
-  double pipe = range - static_cast<double>(sacked_.size()) -
-                static_cast<double>(lost_.size()) +
-                static_cast<double>(rtx_in_flight_.size());
+  double pipe = range - static_cast<double>(sacked_count_) -
+                static_cast<double>(lost_count_) +
+                static_cast<double>(rtx_count_);
   if (!peer_sends_sack_) {
     pipe -= static_cast<double>(dupacks_);
   }
@@ -91,26 +75,36 @@ void SackSender::update_scoreboard(const net::Packet& ack) {
     const SeqNo lo = std::max(block.begin, snd_una_);
     const SeqNo hi = std::min(block.end, snd_nxt_);
     for (SeqNo s = lo; s < hi; ++s) {
-      if (sacked_.insert(s).second) {
-        lost_.erase(s);
-        rtx_in_flight_.erase(s);
-        highest_sacked_ = std::max(highest_sacked_, s);
-      }
+      Segment& r = seg(s);
+      if ((r.flags & kSacked) != 0) continue;
+      lost_count_ -= (r.flags & kLost) != 0;
+      rtx_count_ -= (r.flags & kRtxInFlight) != 0;
+      r.flags = kSacked;
+      ++sacked_count_;
+      highest_sacked_ = std::max(highest_sacked_, s);
     }
   }
+}
+
+void SackSender::set_lost(Segment& s, SeqNo seq) {
+  if ((s.flags & (kSacked | kLost)) != 0) return;
+  s.flags |= kLost;
+  ++lost_count_;
+  next_seg_ = std::min(next_seg_, seq);
 }
 
 void SackSender::mark_lost_by_sack() {
   if (highest_sacked_ < snd_una_) return;
   if (!in_recovery_ && !mark_losses_outside_recovery()) return;
+  // Marks only grow until an undo or timeout resets lost_marked_.
   const SeqNo gap = effective_dupthresh();
-  for (SeqNo s = snd_una_; s + gap <= highest_sacked_; ++s) {
-    if (!sacked_.contains(s)) lost_.insert(s);
-  }
+  SeqNo s = std::max(lost_marked_, snd_una_);
+  for (; s + gap <= highest_sacked_; ++s) set_lost(seg(s), s);
+  lost_marked_ = s;
 }
 
 bool SackSender::loss_detected() const {
-  return dupacks_ >= effective_dupthresh() || !lost_.empty();
+  return dupacks_ >= effective_dupthresh() || lost_count_ > 0;
 }
 
 void SackSender::on_ack_packet(const net::Packet& ack) {
@@ -135,11 +129,7 @@ void SackSender::on_ack_packet(const net::Packet& ack) {
 
   const SeqNo a = ack.tcp.ack;
   if (a > snd_una_) {
-    // RTT sample (Karn's rule) before the tx records are erased.
-    const auto it = tx_info_.find(a - 1);
-    if (it != tx_info_.end() && it->second.tx_count == 1) {
-      rto_.add_sample(now() - it->second.last_tx);
-    }
+    sample_rtt(a);  // before the tx records are dropped
     rto_.reset_backoff();
     if (probe_) probe_.rto(now(), rto_.rto().as_seconds());
     advance_una(a);
@@ -181,12 +171,14 @@ void SackSender::on_ack_packet(const net::Packet& ack) {
 }
 
 void SackSender::advance_una(SeqNo ack) {
+  for (; snd_una_ < ack && !segs_.empty(); ++snd_una_) {
+    const std::uint8_t f = segs_.front().flags;
+    sacked_count_ -= (f & kSacked) != 0;
+    lost_count_ -= (f & kLost) != 0;
+    rtx_count_ -= (f & kRtxInFlight) != 0;
+    segs_.drop_front();
+  }
   snd_una_ = ack;
-  sacked_.erase(sacked_.begin(), sacked_.lower_bound(snd_una_));
-  lost_.erase(lost_.begin(), lost_.lower_bound(snd_una_));
-  rtx_in_flight_.erase(rtx_in_flight_.begin(),
-                       rtx_in_flight_.lower_bound(snd_una_));
-  tx_info_.erase(tx_info_.begin(), tx_info_.lower_bound(snd_una_));
   // DSACKs for a retransmission typically arrive after the cumulative ACK
   // has passed it, so spurious-detection records outlive the window by a
   // margin before being pruned.
@@ -209,7 +201,7 @@ void SackSender::enter_recovery() {
   ssthresh_ = std::max(flight / 2.0, 2.0);
   cwnd_ = ssthresh_;
   // The segment at the ACK point is the presumed loss.
-  if (!sacked_.contains(snd_una_)) lost_.insert(snd_una_);
+  set_lost(seg(snd_una_), snd_una_);
   if (probe_) {
     probe_.ssthresh(now(), ssthresh_);
     probe_.drop_declared(now());
@@ -230,19 +222,15 @@ void SackSender::undo_last_reduction(bool full_restore) {
     episode_dupacks_ = 0;
   }
   // The loss marks of this episode were wrong; forget them.
-  lost_.clear();
-  rtx_in_flight_.clear();
+  for (std::size_t i = 0; lost_count_ > 0 && i < segs_.size(); ++i) {
+    Segment& r = segs_[i];
+    lost_count_ -= (r.flags & kLost) != 0;
+    r.flags &= kSacked;
+  }
+  rtx_count_ = 0;
+  lost_marked_ = snd_una_;
   if (probe_) probe_.ssthresh(now(), ssthresh_);
   notify_cwnd(cwnd_);
-}
-
-void SackSender::retransmit(SeqNo seq) {
-  auto& info = tx_info_[seq];
-  info.last_tx = now();
-  if (info.tx_count <= 1) info.first_rtx = now();
-  ++info.tx_count;
-  recent_rtx_[seq] = RtxRecord{now(), episode_dupacks_};
-  transmit_segment(seq, /*is_retransmission=*/true, next_tx_serial_++);
 }
 
 void SackSender::send_more() {
@@ -255,25 +243,18 @@ void SackSender::send_more() {
     const double window = std::min(cwnd_, config_.max_cwnd);
     while (pipe() + 1.0 <= window) {
       // NextSeg (RFC 3517): lost-and-not-yet-retransmitted first, then new.
-      std::optional<SeqNo> rtx;
-      for (const SeqNo s : lost_) {
-        if (!rtx_in_flight_.contains(s)) {
-          rtx = s;
-          break;
-        }
-      }
-      if (rtx.has_value()) {
-        rtx_in_flight_.insert(*rtx);
-        retransmit(*rtx);
+      if (lost_count_ > rtx_count_) {  // kRtxInFlight flags only kLost ones
+        SeqNo rtx = std::max(next_seg_, snd_una_);
+        while (seg(rtx).flags != kLost) ++rtx;
+        next_seg_ = rtx;
+        seg(rtx).flags |= kRtxInFlight;
+        ++rtx_count_;
+        recent_rtx_[rtx] = RtxRecord{now(), episode_dupacks_};
+        retransmit(rtx);
       } else if (source_has(snd_nxt_)) {
-        auto& info = tx_info_[snd_nxt_];
-        const bool is_rtx = info.tx_count > 0;  // go-back-N resend
-        info.last_tx = now();
-        if (is_rtx && info.tx_count == 1) info.first_rtx = now();
-        ++info.tx_count;
-        if (is_rtx) recent_rtx_[snd_nxt_] = RtxRecord{now(), episode_dupacks_};
-        transmit_segment(snd_nxt_, is_rtx, next_tx_serial_++);
-        ++snd_nxt_;
+        if (send_next()) {  // a go-back-N resend
+          recent_rtx_[snd_nxt_ - 1] = RtxRecord{now(), episode_dupacks_};
+        }
       } else {
         break;
       }
@@ -281,14 +262,6 @@ void SackSender::send_more() {
     }
   }
   if (sent && !was_armed) restart_rto_timer();
-}
-
-void SackSender::restart_rto_timer() {
-  if (snd_nxt_ <= snd_una_) {
-    rto_timer_.cancel();
-    return;
-  }
-  rto_timer_.arm(now() + rto_.rto());
 }
 
 void SackSender::on_timeout() {
@@ -302,9 +275,11 @@ void SackSender::on_timeout() {
   episode_dupacks_ = 0;
   in_recovery_ = false;
   // ns-2 sack1 clears the scoreboard on timeout; go-back-N from snd_una_.
-  sacked_.clear();
-  lost_.clear();
-  rtx_in_flight_.clear();
+  for (std::size_t i = 0; i < segs_.size(); ++i) segs_[i].flags = 0;
+  sacked_count_ = 0;
+  lost_count_ = 0;
+  rtx_count_ = 0;
+  lost_marked_ = snd_una_;
   highest_sacked_ = -1;
   snd_nxt_ = snd_una_;
   rto_.back_off();
@@ -316,12 +291,6 @@ void SackSender::on_timeout() {
   send_more();
   restart_rto_timer();
   notify_cwnd(cwnd_);
-}
-
-void SackSender::on_spurious_retransmit(SeqNo seq, int reorder_extent) {
-  (void)seq;
-  (void)reorder_extent;
-  // Plain TCP-SACK takes no action; subclasses respond.
 }
 
 }  // namespace tcppr::tcp

@@ -11,37 +11,22 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
-#include <set>
 
 #include "tcp/rto.hpp"
-#include "tcp/sender_base.hpp"
 
 namespace tcppr::tcp {
 
-class SackSender : public SenderBase {
+class SackSender : public RtoSender {
  public:
   SackSender(net::Network& network, net::NodeId local, net::NodeId remote,
              FlowId flow, TcpConfig config = {});
 
-  double cwnd() const override { return cwnd_; }
   const char* algorithm() const override { return "sack"; }
   SenderInvariantView invariant_view() const override;
 
-  double ssthresh() const { return ssthresh_; }
-  bool in_fast_recovery() const { return in_recovery_; }
-  SeqNo snd_una() const { return snd_una_; }
-  SeqNo snd_nxt() const { return snd_nxt_; }
   int effective_dupthresh() const;
   double raw_dupthresh() const { return dupthresh_; }
   double pipe() const;
-  const RtoEstimator& rto_estimator() const { return rto_; }
-
-  void rebind_scheduler(sim::Scheduler& shard) override {
-    SenderBase::rebind_scheduler(shard);
-    rto_timer_.rebind(shard);
-    rto_timer_.set_stamp_entity(static_cast<std::uint32_t>(local_node()));
-  }
 
  protected:
   void on_start() override;
@@ -58,8 +43,9 @@ class SackSender : public SenderBase {
   virtual void on_new_ack_hook(const net::Packet& ack) { (void)ack; }
   // Called when a retransmission is discovered to have been spurious.
   // reorder_extent = duplicate ACKs observed in the episode (the measure
-  // the [3] dupthresh adjustments feed on).
-  virtual void on_spurious_retransmit(SeqNo seq, int reorder_extent);
+  // the [3] dupthresh adjustments feed on). Plain TCP-SACK takes no action.
+  virtual void on_spurious_retransmit(SeqNo /*seq*/, int /*reorder_extent*/) {
+  }
 
   // ---- shared machinery ------------------------------------------------
   void update_scoreboard(const net::Packet& ack);
@@ -67,40 +53,32 @@ class SackSender : public SenderBase {
   void enter_recovery();
   void undo_last_reduction(bool full_restore);
   void send_more();
-  void retransmit(SeqNo seq);
-  void on_timeout();
-  void restart_rto_timer();
+  void on_timeout() override;
   void advance_una(SeqNo ack);
 
   bool process_dsack_ = false;  // mitigations switch this on
 
-  double cwnd_ = 1;
-  double ssthresh_;
-  SeqNo snd_una_ = 0;
-  SeqNo snd_nxt_ = 0;
-  int dupacks_ = 0;
   double dupthresh_;       // adaptive in mitigation subclasses
   int episode_dupacks_ = 0;       // dupacks seen in the current loss episode
   int last_episode_dupacks_ = 0;  // final count of the previous episode
-  bool in_recovery_ = false;
-  SeqNo recover_ = 0;
   SeqNo highest_sacked_ = -1;
 
   bool peer_sends_sack_ = false;    // any SACK block seen from this peer
-  std::set<SeqNo> sacked_;          // in (snd_una_, snd_nxt_)
-  std::set<SeqNo> lost_;            // marked lost, not yet cum-acked
-  std::set<SeqNo> rtx_in_flight_;   // lost segments we have retransmitted
 
   // Saved congestion state at the most recent window reduction (undo).
   double saved_cwnd_ = 0;
   double saved_ssthresh_ = 0;
 
-  struct TxInfo {
-    sim::TimePoint last_tx;
-    sim::TimePoint first_rtx;  // valid when tx_count > 1
-    int tx_count = 0;
-  };
-  std::map<SeqNo, TxInfo> tx_info_;
+  // The scoreboard, as flags on the transmit records (RtoSender): only
+  // segments below snd_nxt_ carry marks, never both kSacked and kLost,
+  // and kRtxInFlight only on a kLost one.
+  enum : std::uint8_t { kSacked = 1, kLost = 2, kRtxInFlight = 4 };
+  void set_lost(Segment& s, SeqNo seq);
+  std::size_t sacked_count_ = 0;
+  std::size_t lost_count_ = 0;
+  std::size_t rtx_count_ = 0;
+  SeqNo next_seg_ = 0;     // no lost, unretransmitted seq below this
+  SeqNo lost_marked_ = 0;  // every unSACKed seq below this is marked lost
   // Retransmitted segments below snd_una_, kept for DSACK/Eifel spurious
   // detection; pruned as the window advances.
   struct RtxRecord {
@@ -108,10 +86,6 @@ class SackSender : public SenderBase {
     int episode_dupacks;
   };
   std::map<SeqNo, RtxRecord> recent_rtx_;
-
-  std::uint32_t next_tx_serial_ = 1;
-  RtoEstimator rto_;
-  sim::DeadlineTimer rto_timer_;
 };
 
 }  // namespace tcppr::tcp

@@ -56,10 +56,10 @@ struct SenderInvariantView {
   double ssthresh_floor = 0;
   SeqNo snd_una = 0;
   SeqNo snd_nxt = 0;
-  // Per-segment records the variant tracks inside [snd_una, snd_nxt).
-  // Checked against snd_nxt - snd_una only when window_bookkeeping is set
-  // (the Reno/SACK families; TCP-PR splits its flight across two sets and
-  // reports via scoreboard_ok instead).
+  // Per-segment records the variant tracks inside [snd_una, snd_nxt),
+  // counted from its record ring's base and size. Checked against
+  // snd_nxt - snd_una when window_bookkeeping is set (Reno, SACK and
+  // TCP-PR, which keep one record per segment of the window).
   bool window_bookkeeping = false;
   std::int64_t tracked_in_window = 0;
   bool has_rto = false;  // RFC 2988 estimator present (not TCP-PR)
@@ -114,7 +114,6 @@ class SenderBase : public net::Agent {
   const TcpConfig& config() const { return config_; }
   FlowId flow() const { return flow_; }
   net::NodeId local_node() const { return local_; }
-  net::NodeId remote_node() const { return remote_; }
 
   // Re-points the sender (and every timer a variant owns) at the
   // scheduler shard owning its node. Parallel-mode adoption only; must
@@ -164,7 +163,6 @@ class SenderBase : public net::Agent {
   };
 
   bool source_has(SeqNo seq) const { return source_->has_segment(seq); }
-  SeqNo source_total() const { return source_->total_segments(); }
   // Called by variants whenever the cumulative ACK point advances; handles
   // stats and completion detection.
   void note_progress(SeqNo cum_ack);

@@ -5,17 +5,26 @@
 // of the heap. Equal digests mean every packet is still delivered at the
 // same time and in the same order; a drift names its row.
 //
-// Two tables:
-//   - 12 variants x 3 paper topologies (clean links), one case per row, and
+// Three tables:
+//   - 12 variants x 3 paper topologies (clean links), one case per row,
 //   - 200 fuzz seeds (faulty links, random topologies), sharded into 8
-//     parameterized cases so ctest -j spreads the work.
+//     parameterized cases so ctest -j spreads the work, and
+//   - the flow-state sample series (src/obs) of four variants on the
+//     reordering mesh, which sees the endpoints' scoreboard counters that
+//     a delivery digest cannot (`outstanding` is the sender's in-flight
+//     count or pipe, `ooo_buffered` the receiver's out-of-order buffer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <string>
 
 #include "harness/scenarios.hpp"
+#include "obs/registry.hpp"
+#include "obs/series.hpp"
+#include "util/hash.hpp"
 #include "validate/fuzzer.hpp"
 
 namespace tcppr::validate {
@@ -326,6 +335,62 @@ TEST_P(FuzzSeedGolden, DigestsMatchGoldens) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds1To200, FuzzSeedGolden, testing::Range(0, 8));
+
+struct SeriesGolden {
+  harness::TcpVariant variant;
+  std::uint64_t samples;
+  std::uint64_t hash;
+};
+
+constexpr SeriesGolden kSeriesGoldens[] = {
+    {V::kTcpPr, 73945, 0xe9a42a9a409b27f7},
+    {V::kSack, 17131, 0xf425d4d54a850a93},
+    {V::kReno, 16149, 0x785057075d5f7f8d},
+    {V::kIncByN, 40016, 0xadd6b60371272841},
+};
+
+class ObsSeriesGolden : public testing::TestWithParam<SeriesGolden> {};
+
+TEST_P(ObsSeriesGolden, DigestMatchesGolden) {
+  const SeriesGolden& golden = GetParam();
+  harness::MultipathConfig config;
+  config.variant = golden.variant;
+  config.epsilon = 1;
+  auto scenario = harness::make_multipath(config);
+  obs::MetricRegistry registry;
+  obs::MemorySeriesSink sink;
+  registry.add_sink(&sink);
+  scenario->attach_observability(registry);
+  scenario->sched.run_until(sim::TimePoint::from_seconds(10));
+
+  std::uint64_t hash = util::kFnvOffsetBasis;
+  double max_ooo = 0;
+  for (const obs::Sample& s : sink.samples()) {
+    hash = util::fnv1a_u64(hash, static_cast<std::uint64_t>(s.time.as_nanos()));
+    hash = util::fnv1a_u64(hash, s.metric);
+    hash = util::fnv1a_u64(hash, static_cast<std::uint64_t>(s.flow));
+    hash = util::fnv1a_u64(hash, std::bit_cast<std::uint64_t>(s.value));
+  }
+  for (const auto& [t, v] : sink.series("ooo_buffered")) {
+    max_ooo = std::max(max_ooo, v);
+  }
+  // The mesh must reorder, or the row would not exercise the receiver's
+  // out-of-order buffer.
+  EXPECT_GT(max_ooo, 0);
+  EXPECT_EQ(sink.samples().size(), golden.samples);
+  EXPECT_EQ(hash, golden.hash) << std::hex << "0x" << hash;
+}
+
+std::string series_golden_name(
+    const testing::TestParamInfo<SeriesGolden>& info) {
+  std::string name = harness::to_string(info.param.variant);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(MultipathReordering, ObsSeriesGolden,
+                         testing::ValuesIn(kSeriesGoldens),
+                         series_golden_name);
 
 }  // namespace
 }  // namespace tcppr::validate

@@ -9,6 +9,7 @@
 #include "app/sources.hpp"
 #include "net/network.hpp"
 #include "tcp/receiver.hpp"
+#include "util/hash.hpp"
 
 namespace tcppr::tcp {
 namespace {
@@ -214,6 +215,72 @@ TEST_F(ReceiverFixture, DelayedAckBypassedByOutOfOrder) {
   data(2);  // out of order: must ACK immediately
   ASSERT_GE(acks.size(), 1u);
   EXPECT_EQ(acks.back().tcp.ack, 1);
+}
+
+// FNV-1a fold of the payload words of segments [begin, end), in order.
+std::uint64_t payload_hash(net::SeqNo begin, net::SeqNo end) {
+  std::uint64_t hash = util::kFnvOffsetBasis;
+  for (net::SeqNo s = begin; s < end; ++s) {
+    hash = util::fnv1a_u64(hash, util::payload_word(1, s));
+  }
+  return hash;
+}
+
+TEST_F(ReceiverFixture, FarAheadSegmentThenGapFilledInReverse) {
+  // A segment 1000 past rcv_next stretches the out-of-order buffer over
+  // the whole gap; filling it top-down grows one SACK block downward
+  // until the last hole releases everything in order.
+  receiver->enable_delivery_validation();
+  for (int i = 0; i < 5; ++i) data(i);
+  data(1005);
+  EXPECT_EQ(receiver->ooo_buffered(), 1u);
+  EXPECT_EQ(receiver->stats().max_reorder_extent, 1000);
+  for (net::SeqNo s = 1004; s >= 6; --s) {
+    data(s);
+    ASSERT_EQ(acks.back().tcp.ack, 5);
+    ASSERT_EQ(acks.back().tcp.sack.size(), 1u);
+    EXPECT_EQ(acks.back().tcp.sack[0].begin, s);
+    EXPECT_EQ(acks.back().tcp.sack[0].end, 1006);
+  }
+  EXPECT_EQ(receiver->ooo_buffered(), 1000u);
+  data(1005);  // a buffered segment again: duplicate, DSACKed, not re-added
+  EXPECT_EQ(receiver->stats().duplicates, 1u);
+  ASSERT_TRUE(acks.back().tcp.dsack.has_value());
+  EXPECT_EQ(acks.back().tcp.dsack->begin, 1005);
+  EXPECT_EQ(receiver->ooo_buffered(), 1000u);
+  data(5);
+  EXPECT_EQ(acks.back().tcp.ack, 1006);
+  EXPECT_TRUE(acks.back().tcp.sack.empty());
+  EXPECT_TRUE(receiver->sack_blocks().empty());
+  EXPECT_EQ(receiver->ooo_buffered(), 0u);
+  EXPECT_EQ(receiver->delivered_hash(), payload_hash(0, 1006));
+  data(700);  // inside the delivered range
+  EXPECT_EQ(receiver->stats().duplicates, 2u);
+  EXPECT_EQ(receiver->rcv_next(), 1006);
+}
+
+TEST_F(ReceiverFixture, ResumeAtThenOutOfOrderArrivals) {
+  receiver->enable_delivery_validation();
+  receiver->resume_at(100);
+  data(102);
+  EXPECT_EQ(acks.back().tcp.ack, 100);
+  EXPECT_EQ(receiver->ooo_buffered(), 1u);
+  EXPECT_EQ(receiver->stats().max_reorder_extent, 2);
+  data(101);
+  ASSERT_EQ(acks.back().tcp.sack.size(), 1u);
+  EXPECT_EQ(acks.back().tcp.sack[0].begin, 101);
+  EXPECT_EQ(acks.back().tcp.sack[0].end, 103);
+  EXPECT_EQ(receiver->ooo_buffered(), 2u);
+  data(99);  // below the resume point: a duplicate
+  EXPECT_EQ(receiver->stats().duplicates, 1u);
+  EXPECT_EQ(acks.back().tcp.ack, 100);
+  EXPECT_EQ(receiver->ooo_buffered(), 2u);
+  data(100);
+  EXPECT_EQ(acks.back().tcp.ack, 103);
+  EXPECT_TRUE(acks.back().tcp.sack.empty());
+  EXPECT_EQ(receiver->ooo_buffered(), 0u);
+  // The hash covers only what this incarnation delivered.
+  EXPECT_EQ(receiver->delivered_hash(), payload_hash(100, 103));
 }
 
 TEST_F(ReceiverFixture, AcksAreRoutedToSender) {

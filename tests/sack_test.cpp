@@ -5,7 +5,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <vector>
 
+#include "tcp/reno.hpp"
 #include "tcp/sack.hpp"
 #include "tcp/tdfr.hpp"
 #include "test_util.hpp"
@@ -102,6 +104,70 @@ TEST(Sack, TimeoutOnTotalOutageThenRecovery) {
   f.run_for(30);
   EXPECT_GE(sender->stats().timeouts, 1u);
   EXPECT_GT(sender->stats().segments_acked, 1000);
+}
+
+// Go-back-N after an RTO. The data path is cut while a window is in
+// flight, so the whole flight is lost and the receiver buffers nothing
+// above snd_una; the path is back before the timeout fires. Every resend
+// below the pre-timeout snd_nxt must be flagged as a retransmission and,
+// by Karn's rule, feed the RTT estimator no sample.
+template <typename Sender>
+void expect_go_back_n_resends_are_retransmissions(TcpVariant variant) {
+  PathFixture f;
+  tcp::TcpConfig config;
+  config.max_cwnd = 20;  // below the queue limit: the cut is the only loss
+  auto* sender = dynamic_cast<Sender*>(f.add_flow(variant, 1, config));
+  ASSERT_NE(sender, nullptr);
+  bool cut = false;
+  std::vector<net::Packet> crossed;  // data through the bottleneck after it
+  f.fwd->set_drop_filter([&](const net::Packet& pkt) {
+    if (pkt.type != net::PacketType::kTcpData) return false;
+    if (cut) return true;
+    if (f.sched.now() > sim::TimePoint::from_seconds(1.0)) {
+      crossed.push_back(pkt);
+    }
+    return false;
+  });
+  f.sched.schedule_at(sim::TimePoint::from_seconds(1.0), [&] { cut = true; });
+  net::SeqNo una = 0;
+  net::SeqNo nxt = 0;
+  double srtt = 0;
+  f.sched.schedule_at(sim::TimePoint::from_seconds(1.5), [&] {
+    ASSERT_EQ(sender->stats().timeouts, 0u);
+    una = sender->snd_una();
+    nxt = sender->snd_nxt();
+    srtt = sender->rto_estimator().srtt().as_seconds();
+    cut = false;
+  });
+  for (int ms = 1502; ms < 10000; ms += 2) {
+    f.sched.schedule_at(sim::TimePoint::from_seconds(ms / 1000.0), [&] {
+      if (sender->snd_una() <= nxt) {
+        EXPECT_EQ(sender->rto_estimator().srtt().as_seconds(), srtt)
+            << "RTT sample at snd_una " << sender->snd_una();
+      }
+    });
+  }
+  sender->start();
+  f.run_for(10);
+  EXPECT_GE(sender->stats().timeouts, 1u);
+  ASSERT_GT(nxt, una);
+  EXPECT_GT(sender->snd_una(), nxt);
+  std::set<net::SeqNo> resent;
+  for (const net::Packet& pkt : crossed) {
+    if (pkt.tcp.seq >= nxt) continue;
+    EXPECT_TRUE(pkt.tcp.is_retransmission) << "seq " << pkt.tcp.seq;
+    resent.insert(pkt.tcp.seq);
+  }
+  EXPECT_EQ(resent.size(), static_cast<std::size_t>(nxt - una));
+  EXPECT_EQ(*resent.begin(), una);
+}
+
+TEST(GoBackN, SackResendsAreRetransmissionsWithoutRttSamples) {
+  expect_go_back_n_resends_are_retransmissions<SackSender>(TcpVariant::kSack);
+}
+
+TEST(GoBackN, RenoResendsAreRetransmissionsWithoutRttSamples) {
+  expect_go_back_n_resends_are_retransmissions<RenoSender>(TcpVariant::kReno);
 }
 
 TEST(Sack, ReorderingCausesSpuriousRetransmits) {

@@ -261,7 +261,7 @@ bool parse(int argc, char** argv, Args& args) {
       args.alpha = real([](double v) { return v > 0 && v < 1; },
                         "a number in (0, 1)");
     } else if (flag == "--beta") {
-      args.beta = real(positive, "a number > 0");
+      args.beta = real([](double v) { return v >= 1; }, "a number >= 1");
     } else if (flag == "--seed") {
       args.seed = u64();
     } else if (flag == "--trace") {
@@ -304,6 +304,19 @@ bool parse(int argc, char** argv, Args& args) {
       return false;
     }
   }
+  // The --flows ceiling depends on --topology, which may come after it.
+  const bool many_flows = args.topology.starts_with("many-flows");
+  if (many_flows || args.topology == "fan-dumbbell") {
+    const int max_flows = many_flows ? harness::ManyFlowsConfig::kMaxFlows
+                                     : harness::FanDumbbellConfig::kMaxFlows;
+    if (args.flows > max_flows) {
+      const std::string expected = "an integer in 1.." +
+                                   std::to_string(max_flows) +
+                                   " for --topology " + args.topology;
+      usage_error("--flows", std::to_string(args.flows).c_str(),
+                  expected.c_str());
+    }
+  }
   args.measured_s = std::min(args.measured_s, args.duration_s);
   return true;
 }
@@ -317,11 +330,6 @@ std::unique_ptr<harness::Scenario> build(const Args& args) {
     config.topology = args.topology == "many-flows-graph"
                           ? harness::ManyFlowsConfig::Topology::kRandomGraph
                           : harness::ManyFlowsConfig::Topology::kDumbbell;
-    if (args.flows < 1 || args.flows > harness::ManyFlowsConfig::kMaxFlows) {
-      std::fprintf(stderr, "--flows must be in 1..%d\n",
-                   harness::ManyFlowsConfig::kMaxFlows);
-      return nullptr;
-    }
     config.flows = args.flows;
     config.pr_fraction = args.pr_fraction;
     if (args.link_delay_ms > 0) {
@@ -333,16 +341,7 @@ std::unique_ptr<harness::Scenario> build(const Args& args) {
     return harness::make_many_flows(config);
   }
   if (args.topology == "fan-dumbbell") {
-    if (args.flows < 1 || args.flows > harness::FanDumbbellConfig::kMaxFlows) {
-      std::fprintf(stderr, "--flows must be in 1..%d\n",
-                   harness::FanDumbbellConfig::kMaxFlows);
-      return nullptr;
-    }
     harness::FanDumbbellConfig config = harness::million_fan_config(args.flows);
-    if (args.fan_width < 1) {
-      std::fprintf(stderr, "--fan-width must be >= 1\n");
-      return nullptr;
-    }
     config.fan_width = args.fan_width;
     if (args.link_delay_ms > 0) {
       config.bottleneck_delay = sim::Duration::millis(args.link_delay_ms);
@@ -425,7 +424,6 @@ int main(int argc, char** argv) {
   net::set_hot_path_batching(!args.no_batch);
   auto scenario = build(args);
   net::set_hot_path_batching(true);
-  if (!scenario) return 1;
 
   std::unique_ptr<trace::FileTrace> trace_file;
   if (!args.trace_path.empty()) {
