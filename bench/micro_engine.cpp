@@ -137,12 +137,9 @@ void BM_BatchDelivery(benchmark::State& state) {
   std::uint64_t events = 0;
   std::uint64_t delivered = 0;
   for (auto _ : state) {
-    // The mode is sampled once at Network construction; restore the
-    // process default immediately so nothing else inherits it.
-    net::set_hot_path_batching(batching);
     sim::Scheduler sched;
     net::Network net(sched);
-    net::set_hot_path_batching(true);
+    if (!batching) net.disable_batching();
     const net::NodeId a = net.add_node();
     const net::NodeId b = net.add_node();
     const net::NodeId c = net.add_node();

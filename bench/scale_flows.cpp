@@ -90,11 +90,8 @@ void BM_ScaleFlowsDumbbell(benchmark::State& state) {
   for (auto _ : state) {
     harness::ManyFlowsConfig config;
     config.flows = flows;
-    // Sampled once at Network construction (inside make_many_flows);
-    // restore the process default right after the build.
-    net::set_hot_path_batching(batching);
     auto scenario = harness::make_many_flows(config);
-    net::set_hot_path_batching(true);
+    if (!batching) scenario->network.disable_batching();
     scenario->sched.run_until(sim::TimePoint::from_seconds(2));
     events = scenario->sched.processed_count();
     delivered = scenario->network.conservation().delivered_to_agent;

@@ -8,39 +8,21 @@
 //   ./multipath_transfer [variant] [epsilon] [seconds]
 //   ./multipath_transfer tcp-pr 0 30
 //   ./multipath_transfer sack 0 30
-//   variants: tcp-pr sack reno newreno td-fr dsack-nm inc-by-1 inc-by-n
-//             ewma eifel
+//   variants: tcp-pr sack reno newreno tahoe td-fr dsack-nm inc-by-1
+//             inc-by-n ewma eifel tcp-door
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <optional>
 
 #include "harness/experiment.hpp"
 
-namespace {
-
 using namespace tcppr;
-using harness::TcpVariant;
-
-std::optional<TcpVariant> parse_variant(const char* name) {
-  for (const TcpVariant v :
-       {TcpVariant::kTcpPr, TcpVariant::kSack, TcpVariant::kReno,
-        TcpVariant::kNewReno, TcpVariant::kTdFr, TcpVariant::kDsackNm,
-        TcpVariant::kIncByOne, TcpVariant::kIncByN, TcpVariant::kEwma,
-        TcpVariant::kEifel}) {
-    if (std::strcmp(name, to_string(v)) == 0) return v;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const char* variant_name = argc > 1 ? argv[1] : "tcp-pr";
   const double epsilon = argc > 2 ? std::atof(argv[2]) : 0.0;
   const double seconds = argc > 3 ? std::atof(argv[3]) : 30.0;
 
-  const auto variant = parse_variant(variant_name);
+  const auto variant = harness::parse_variant(variant_name);
   if (!variant) {
     std::fprintf(stderr, "unknown variant '%s'\n", variant_name);
     return 1;

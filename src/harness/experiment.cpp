@@ -1,9 +1,12 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "harness/parallel_run.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
+#include "validate/invariants.hpp"
 
 namespace tcppr::harness {
 
@@ -69,7 +72,7 @@ RunResult run_scenario(Scenario& scenario, const MeasurementWindow& window,
     acked_at_mark.push_back(scenario.senders[i]->stats().bytes_newly_acked);
     goodput_at_mark.push_back(scenario.receivers[i]->stats().goodput_bytes);
   }
-  run_to(t_end);
+  if (t_end > t_mark) run_to(t_end);
 
   RunResult result;
   result.measure_seconds = window.measured.as_seconds();
@@ -83,14 +86,106 @@ RunResult run_scenario(Scenario& scenario, const MeasurementWindow& window,
     fr.sender = scenario.senders[i]->stats();
     fr.receiver = scenario.receivers[i]->stats();
     const double dt = result.measure_seconds;
-    fr.throughput_bps =
-        static_cast<double>(fr.sender.bytes_newly_acked - acked_at_mark[i]) *
-        8.0 / dt;
-    fr.goodput_bps =
-        static_cast<double>(fr.receiver.goodput_bytes - goodput_at_mark[i]) *
-        8.0 / dt;
+    if (dt > 0) {
+      fr.throughput_bps =
+          static_cast<double>(fr.sender.bytes_newly_acked - acked_at_mark[i]) *
+          8.0 / dt;
+      fr.goodput_bps =
+          static_cast<double>(fr.receiver.goodput_bytes - goodput_at_mark[i]) *
+          8.0 / dt;
+    }
     result.flows.push_back(fr);
   }
+  return result;
+}
+
+Run::Run(Scenario& scenario, RunConfig config)
+    : scenario_(scenario), config_(std::move(config)) {
+  const RunConfig& c = config_;
+  if (!c.batching) scenario_.network.disable_batching();
+
+  const std::vector<net::Link*>& bottlenecks = scenario_.bottlenecks;
+  for (std::size_t i = 0; i < bottlenecks.size() && i < 2; ++i) {
+    if (c.loss_rate > 0) {
+      bottlenecks[i]->set_loss_model(c.loss_rate, c.fault_rng.fork(1000 + i));
+    }
+    if (c.jitter_ms > 0) {
+      bottlenecks[i]->set_jitter(sim::Duration::millis(c.jitter_ms),
+                                 c.fault_rng.fork(2000 + i));
+    }
+  }
+  // Scheduled through schedule_action (a plain schedule_at in sequential
+  // runs) so parallel adoption moves it onto the shard owning the link.
+  if (c.reconfigure_mid_run && !bottlenecks.empty()) {
+    net::Link* link = bottlenecks.front();
+    scenario_.schedule_action(sim::TimePoint::origin() + c.window.total / 2.0,
+                              link->from(), [link] {
+                                link->set_bandwidth(link->bandwidth_bps() / 2);
+                                link->set_prop_delay(link->prop_delay() * 2.0);
+                              });
+  }
+
+  // Taps attach before anything runs so every delivery is observed; pure
+  // observation, so results are byte-identical with or without them.
+  if (c.telemetry) {
+    std::size_t flows =
+        scenario_.senders.size() + scenario_.cross_senders.size();
+    if (c.workload) flows += static_cast<std::size_t>(c.workload->id_slots);
+    telemetry::TelemetryConfig tc;
+    tc.tap.exact_baseline =
+        c.validate && flows <= RunConfig::kExactBaselineMaxFlows;
+    telemetry_ = std::make_unique<telemetry::Telemetry>(scenario_.network, tc);
+  }
+  if (c.validate) {
+    checker_ = std::make_unique<validate::InvariantChecker>(scenario_);
+    checker_->set_telemetry(telemetry_.get());
+  }
+}
+
+Run::~Run() = default;
+
+RunResult Run::run() {
+  const RunConfig& c = config_;
+  if (c.par_lps >= 1) {
+    ParallelRunConfig pc;
+    pc.lps = c.par_lps;
+    psim_ = std::make_unique<ParallelSim>(scenario_, pc);
+    if (checker_) psim_->set_checker(checker_.get());
+  } else if (checker_) {
+    checker_->start();
+  }
+
+  // The flapper's toggles and the flapped link's queue events must share
+  // an LP, so it is created directly on the shard owning the link.
+  if (c.flap && !scenario_.bottlenecks.empty()) {
+    net::Link* link = scenario_.bottlenecks.front();
+    sim::Scheduler& sched =
+        psim_ != nullptr ? psim_->shard_for(link->from()) : scenario_.sched;
+    flapper_ = std::make_unique<net::LinkFlapper>(
+        sched, std::vector<net::Link*>{link}, *c.flap);
+    flapper_->start();
+  }
+
+  if (c.workload) {
+    engine_ = std::make_unique<workload::WorkloadEngine>(
+        scenario_, *c.workload, psim_.get());
+    // Taps and the registry belong to shard threads under the parallel
+    // engine; there, departed flows are displaced from the taps by tenure
+    // pressure instead of folded out.
+    if (psim_ == nullptr) {
+      if (telemetry_) engine_->set_telemetry(telemetry_.get());
+      if (c.registry != nullptr) {
+        c.registry->set_aggregate_only(true);  // churn scale: no flow labels
+        engine_->set_metric_registry(*c.registry);
+      }
+    }
+    engine_->start();
+  }
+
+  RunResult result = run_scenario(scenario_, c.window, psim_.get());
+  if (engine_) engine_->stop();
+  if (flapper_) flapper_->stop();
+  if (checker_) checker_->finalize();
   return result;
 }
 

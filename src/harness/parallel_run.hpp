@@ -114,7 +114,7 @@ class ParallelSim {
   // scheduler's processed_count()).
   std::uint64_t events_processed() const;
   // Aggregate batch-pump counters across the per-LP pumps (all zeros when
-  // the scenario's network was built with hot-path batching off).
+  // the scenario's network had batching disabled).
   net::LinkPump::Stats pump_stats() const;
   net::LinkPump::RunHistogram pump_histogram() const;
 
@@ -160,8 +160,8 @@ class ParallelSim {
   Partition partition_;
   std::vector<sim::Scheduler*> shards_;  // borrowed from scenario_.lp_scheds
   std::vector<std::shared_ptr<net::PacketPool>> pools_;
-  // One batch pump per LP when the scenario's network was built batched
-  // (empty otherwise). Links are re-pointed here from the network's own
+  // One batch pump per LP when the scenario's network is batched (empty
+  // after Network::disable_batching). Links are re-pointed here from the network's own
   // pump and detached again in the destructor, before these die.
   std::vector<std::unique_ptr<net::LinkPump>> pumps_;
   std::vector<std::unique_ptr<trace::Tracer>> lp_tracers_;

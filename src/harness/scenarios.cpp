@@ -44,6 +44,13 @@ const char* to_string(TcpVariant variant) {
   return "?";
 }
 
+std::optional<TcpVariant> parse_variant(std::string_view name) {
+  for (const TcpVariant v : all_variants()) {
+    if (name == to_string(v)) return v;
+  }
+  return std::nullopt;
+}
+
 const std::vector<TcpVariant>& all_variants() {
   static const std::vector<TcpVariant> kAll = {
       TcpVariant::kTcpPr,    TcpVariant::kSack,   TcpVariant::kReno,

@@ -8,6 +8,8 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "app/sources.hpp"
@@ -38,6 +40,8 @@ enum class TcpVariant {
 };
 
 const char* to_string(TcpVariant variant);
+// Inverse of to_string; nullopt for an unknown name.
+std::optional<TcpVariant> parse_variant(std::string_view name);
 // All implemented variants, in presentation order.
 const std::vector<TcpVariant>& all_variants();
 

@@ -1,26 +1,9 @@
 #include "net/link_pump.hpp"
 
-#include <atomic>
-
 #include "net/link.hpp"
 #include "util/check.hpp"
 
 namespace tcppr::net {
-
-namespace {
-// Relaxed atomic: the fuzz campaign flips this from worker threads, each
-// for its own single-threaded simulation; there is no cross-thread
-// ordering to protect, only the data race to avoid.
-std::atomic<bool> g_hot_path_batching{true};
-}  // namespace
-
-void set_hot_path_batching(bool on) {
-  g_hot_path_batching.store(on, std::memory_order_relaxed);
-}
-
-bool hot_path_batching() {
-  return g_hot_path_batching.load(std::memory_order_relaxed);
-}
 
 LinkPump::~LinkPump() {
   if (parked_.valid()) sched_->cancel(parked_);

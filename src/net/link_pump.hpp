@@ -15,7 +15,9 @@
 // (see Link::pump_run_deliveries). Every op still executes at exactly the
 // (time, seq) position it holds in the unbatched schedule, so delivery
 // order — and therefore the determinism oracle's kDeliver stream — is
-// byte-identical; only the number of scheduler events shrinks.
+// byte-identical; only the number of scheduler events shrinks. Every
+// Network owns one pump for its build scheduler;
+// Network::disable_batching detaches the links and drops it.
 //
 // Index structure: a private heap holds one entry per op-stream *head*
 // (plus stale entries left behind when an earlier op overtook a former
@@ -44,13 +46,6 @@ struct PumpKey {
 };
 
 enum class PumpOp : std::uint32_t { kTxComplete = 0, kDeliver = 1 };
-
-// Process-wide toggle for the batched hot path, read by Network at
-// construction (default on). Runs built with it off schedule one event per
-// packet op, exactly the pre-batching engine — the comparison baseline the
-// equivalence suite and benches use.
-void set_hot_path_batching(bool on);
-bool hot_path_batching();
 
 class LinkPump {
  public:

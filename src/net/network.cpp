@@ -37,6 +37,11 @@ Link& Network::add_link_with_queue(NodeId from, NodeId to,
   return link;
 }
 
+void Network::disable_batching() {
+  for (const auto& link : links_) link->set_pump(nullptr);
+  pump_.reset();
+}
+
 std::pair<Link*, Link*> Network::add_duplex_link(NodeId a, NodeId b,
                                                  const LinkConfig& cfg) {
   Link& ab = add_link(a, b, cfg);

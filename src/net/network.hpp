@@ -27,12 +27,10 @@ struct LinkConfig {
 
 class Network {
  public:
-  // The batched hot path (net::set_hot_path_batching) is sampled here,
-  // once: a network is born batched or unbatched and stays that way.
+  // A network is born batched: every link routes its packet ops through
+  // one LinkPump (see disable_batching).
   explicit Network(sim::Scheduler& sched)
-      : sched_(sched),
-        pump_(hot_path_batching() ? std::make_unique<LinkPump>(sched)
-                                  : nullptr) {}
+      : sched_(sched), pump_(std::make_unique<LinkPump>(sched)) {}
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
@@ -73,9 +71,16 @@ class Network {
   // whole network draw from one free list.
   const std::shared_ptr<PacketPool>& packet_pool() const { return pool_; }
 
-  // Batch carrier for the sequential engine; null when the network was
-  // built with hot-path batching off (parallel shards install their own
-  // per-LP pumps instead — see harness/parallel_run).
+  // Switches to the unbatched engine: one scheduler event per packet op,
+  // exactly the pre-batching engine and the baseline the equivalence
+  // suites and benches compare against. Detaches every link from the pump
+  // and drops it; links added later stay unbatched. Legal only before the
+  // first packet is sent (Link::set_pump CHECKs each link is idle).
+  void disable_batching();
+
+  // Batch carrier for the sequential engine; null after disable_batching
+  // (parallel shards install their own per-LP pumps instead — see
+  // harness/parallel_run).
   LinkPump* pump() { return pump_.get(); }
   const LinkPump* pump() const { return pump_.get(); }
 

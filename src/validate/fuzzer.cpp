@@ -4,15 +4,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <system_error>
 #include <utility>
 
+#include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
-#include "harness/parallel_run.hpp"
-#include "net/link_flapper.hpp"
-#include "net/link_pump.hpp"
 #include "sim/random.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/check.hpp"
@@ -23,17 +20,9 @@
 namespace tcppr::validate {
 
 const char* to_string(FuzzCase::Topology topology) {
-  switch (topology) {
-    case FuzzCase::Topology::kDumbbell:
-      return "dumbbell";
-    case FuzzCase::Topology::kParkingLot:
-      return "parking-lot";
-    case FuzzCase::Topology::kMultipath:
-      return "multipath";
-    case FuzzCase::Topology::kRandomGraph:
-      return "random-graph";
-  }
-  return "?";
+  constexpr const char* kNames[] = {"dumbbell", "parking-lot", "multipath",
+                                    "random-graph"};
+  return kNames[static_cast<int>(topology)];
 }
 
 FuzzCase sample_fuzz_case(std::uint64_t seed) {
@@ -69,7 +58,7 @@ FuzzCase sample_fuzz_case(std::uint64_t seed) {
   // exactly what the pre-churn sampler consumed, so seeds keep producing
   // the same topology/fault mix they always did.
   c.churn_rate = rng.bernoulli(0.3) ? rng.uniform(100.0, 800.0) : 0.0;
-  c.churn_kind = static_cast<int>(rng.uniform_int(3));
+  c.churn_kind = static_cast<workload::WorkloadKind>(rng.uniform_int(3));
   // Telemetry draws after churn: same seed-prefix rule, next dimension.
   c.telemetry = rng.bernoulli(0.35);
   return c;
@@ -82,11 +71,10 @@ std::string describe(const FuzzCase& c) {
     if (!variants.empty()) variants += ",";
     variants += harness::to_string(v);
   }
-  const char* churn_kinds[] = {"poisson", "web", "onoff"};
   char churn[48];
   if (c.churn_rate > 0) {
     std::snprintf(churn, sizeof(churn), "%s@%.0f/s",
-                  churn_kinds[c.churn_kind % 3], c.churn_rate);
+                  workload::to_string(c.churn_kind), c.churn_rate);
   } else {
     std::snprintf(churn, sizeof(churn), "off");
   }
@@ -159,30 +147,28 @@ std::unique_ptr<harness::Scenario> build_random_graph(const FuzzCase& c,
 std::unique_ptr<harness::Scenario> build_scenario(const FuzzCase& c,
                                                   sim::Rng& rng) {
   switch (c.topology) {
-    case FuzzCase::Topology::kDumbbell: {
-      harness::DumbbellConfig cfg;
-      cfg.pr_flows = 0;
-      cfg.sack_flows = 0;
-      cfg.seed = c.seed;
-      auto s = harness::make_dumbbell(cfg);
-      for (int i = 0; i < c.flows; ++i) {
-        const auto start = sim::TimePoint::from_seconds(rng.uniform(0.0, 1.0));
-        s->add_flow(c.variants[static_cast<std::size_t>(i)], s->src_host,
-                    s->dst_host, /*flow=*/i + 1, cfg.tcp, cfg.pr, start);
-      }
-      return s;
-    }
+    case FuzzCase::Topology::kDumbbell:
     case FuzzCase::Topology::kParkingLot: {
-      harness::ParkingLotConfig cfg;
-      cfg.pr_flows = 0;
-      cfg.sack_flows = 0;
-      cfg.with_cross_traffic = c.cross_traffic;
-      cfg.seed = c.seed;
-      auto s = harness::make_parking_lot(cfg);
+      std::unique_ptr<harness::Scenario> s;
+      net::FlowId first_flow = 1;
+      if (c.topology == FuzzCase::Topology::kDumbbell) {
+        harness::DumbbellConfig cfg;
+        cfg.pr_flows = cfg.sack_flows = 0;
+        cfg.seed = c.seed;
+        s = harness::make_dumbbell(cfg);
+      } else {
+        harness::ParkingLotConfig cfg;
+        cfg.pr_flows = cfg.sack_flows = 0;
+        cfg.with_cross_traffic = c.cross_traffic;
+        cfg.seed = c.seed;
+        s = harness::make_parking_lot(cfg);
+        first_flow = 100;
+      }
       for (int i = 0; i < c.flows; ++i) {
         const auto start = sim::TimePoint::from_seconds(rng.uniform(0.0, 1.0));
         s->add_flow(c.variants[static_cast<std::size_t>(i)], s->src_host,
-                    s->dst_host, /*flow=*/100 + i, cfg.tcp, cfg.pr, start);
+                    s->dst_host, first_flow + i, tcp::TcpConfig(),
+                    core::TcpPrConfig(), start);
       }
       return s;
     }
@@ -205,120 +191,35 @@ std::unique_ptr<harness::Scenario> build_scenario(const FuzzCase& c,
 
 FuzzResult run_fuzz_case(const FuzzCase& c) {
   sim::Rng rng = sim::Rng(c.seed).fork(0xB01D);
-  std::unique_ptr<harness::Scenario> scenario;
-  {
-    // The batching flag is process-global and sampled once, at Network
-    // construction; serialize the set-and-construct window so concurrent
-    // fuzz cells with different `batching` values cannot leak into each
-    // other's networks, and restore the default before releasing it.
-    static std::mutex batching_mu;
-    std::lock_guard<std::mutex> lock(batching_mu);
-    net::set_hot_path_batching(c.batching);
-    scenario = build_scenario(c, rng);
-    net::set_hot_path_batching(true);
-  }
+  std::unique_ptr<harness::Scenario> scenario = build_scenario(c, rng);
   harness::Scenario& s = *scenario;
-
-  // Fault processes over the scenario's bottleneck set.
-  if (c.loss_rate > 0) {
-    int applied = 0;
-    for (net::Link* link : s.bottlenecks) {
-      link->set_loss_model(c.loss_rate, rng.fork(1000 + applied));
-      if (++applied >= 2) break;
-    }
-  }
-  if (c.jitter_ms > 0) {
-    int applied = 0;
-    for (net::Link* link : s.bottlenecks) {
-      link->set_jitter(sim::Duration::millis(c.jitter_ms),
-                       rng.fork(2000 + applied));
-      if (++applied >= 2) break;
-    }
-  }
-  // Mid-run reconfiguration and mutation knobs go through
-  // Scenario::schedule_action (identical to a plain schedule_at in
-  // sequential runs) so parallel adoption can move them onto the shard
-  // owning the touched object.
-  if (c.reconfigure_mid_run && !s.bottlenecks.empty()) {
-    net::Link* link = s.bottlenecks.front();
-    s.schedule_action(sim::TimePoint::from_seconds(c.duration_s / 2),
-                      link->from(), [link] {
-                        link->set_bandwidth(link->bandwidth_bps() / 2);
-                        link->set_prop_delay(link->prop_delay() * 2.0);
-                      });
-  }
-  if (c.corrupt_transit_for_test && !s.bottlenecks.empty()) {
-    s.bottlenecks.front()->corrupt_transit_accounting_for_test();
-  }
-  if (c.corrupt_delivery_for_test && !s.receivers.empty()) {
-    tcp::Receiver* rx = s.receivers.front().get();
-    s.schedule_action(sim::TimePoint::from_seconds(c.duration_s / 2),
-                      rx->local_node(),
-                      [rx] { rx->corrupt_delivered_hash_for_test(); });
-  }
-
-  // Link-tap telemetry attaches before the run so every delivery is
-  // observed; the exact baseline is on (fuzz cases are small), making each
-  // sweep a sketch-vs-ground-truth differential check.
-  std::unique_ptr<telemetry::Telemetry> telemetry;
-  if (c.telemetry) {
-    telemetry::TelemetryConfig tc;
-    tc.tap.exact_baseline = true;
-    telemetry = std::make_unique<telemetry::Telemetry>(s.network, tc);
-    if (c.corrupt_telemetry_for_test) {
-      telemetry::Telemetry* t = telemetry.get();
-      s.schedule_action(sim::TimePoint::from_seconds(c.duration_s / 2),
-                        /*affinity=*/0, [t] { t->corrupt_sketch_for_test(); });
-    }
-  }
-
   DeliveryHasher hasher;
   s.network.add_trace_sink(&hasher);
-  InvariantChecker checker(s);
-  checker.set_telemetry(telemetry.get());
 
-  // Parallel mode: shards, mailboxes and adoption happen here, after all
-  // build-time scheduling above (the ParallelSim CHECKs the build
-  // scheduler drained). The checker sweeps at barriers instead of on its
-  // own timer.
-  std::unique_ptr<harness::ParallelSim> psim;
-  if (c.par_lps >= 1) {
-    harness::ParallelRunConfig pc;
-    pc.lps = c.par_lps;
-    psim = std::make_unique<harness::ParallelSim>(s, pc);
-    psim->set_checker(&checker);
+  harness::RunConfig rc;
+  rc.window.total = sim::Duration::seconds(c.duration_s);
+  rc.window.measured = sim::Duration::zero();
+  rc.loss_rate = c.loss_rate;
+  rc.jitter_ms = c.jitter_ms;
+  if (c.flap) {
+    rc.flap = net::LinkFlapper::Config{
+        sim::Duration::seconds(c.flap_mean_up_s),
+        sim::Duration::seconds(c.flap_mean_down_s), c.seed ^ 0x5Au};
   }
-
-  // The flapper is created directly on the shard owning the flapped link
-  // (its toggle events and the link's queue events must share an LP).
-  std::unique_ptr<net::LinkFlapper> flapper;
-  if (c.flap && !s.bottlenecks.empty()) {
-    net::LinkFlapper::Config fc;
-    fc.mean_up = sim::Duration::seconds(c.flap_mean_up_s);
-    fc.mean_down = sim::Duration::seconds(c.flap_mean_down_s);
-    fc.seed = c.seed ^ 0x5Au;
-    net::Link* link = s.bottlenecks.front();
-    sim::Scheduler& flap_sched =
-        psim != nullptr ? psim->shard_for(link->from()) : s.sched;
-    flapper = std::make_unique<net::LinkFlapper>(
-        flap_sched, std::vector<net::Link*>{link}, fc);
-    flapper->start();
-  }
-
-  // Background churn: a small workload engine sprays short dynamic
-  // transfers between the scenario's src/dst hosts alongside the measured
-  // flows — dynamic sender/receiver lifecycles, slot quarantine and idle
-  // reaping now run under the checker and the delivery-hash oracle. Like
-  // the flapper it is created after the ParallelSim so its arrival and
-  // teardown events land on the shards owning the hosts, and (borrowing
-  // both) it is destroyed before them.
-  std::unique_ptr<workload::WorkloadEngine> engine;
+  rc.reconfigure_mid_run = c.reconfigure_mid_run;
+  rc.fault_rng = rng;
+  // Fuzz cases are small, so the taps always carry the exact baseline:
+  // every sweep is a sketch-vs-ground-truth differential check.
+  rc.telemetry = c.telemetry;
+  rc.validate = true;
+  rc.par_lps = c.par_lps;
+  rc.batching = c.batching;
+  // Background churn: short dynamic transfers between the src/dst hosts
+  // alongside the measured flows, so sender/receiver lifecycles, slot
+  // quarantine and idle reaping run under the checker and the oracle.
   if (c.churn_rate > 0) {
     workload::WorkloadConfig wc;
-    const workload::WorkloadKind kinds[] = {workload::WorkloadKind::kPoisson,
-                                            workload::WorkloadKind::kWeb,
-                                            workload::WorkloadKind::kOnOff};
-    wc.kind = kinds[c.churn_kind % 3];
+    wc.kind = c.churn_kind;
     wc.arrival_rate = c.churn_rate;
     wc.onoff_sources = 16;
     wc.max_segments = 64;  // short transfers: real churn inside duration_s
@@ -328,27 +229,29 @@ FuzzResult run_fuzz_case(const FuzzCase& c) {
     wc.reap_idle = sim::Duration::millis(400);
     wc.reap_sweep = sim::Duration::millis(100);
     wc.seed = c.seed ^ 0xC4u;
-    engine = std::make_unique<workload::WorkloadEngine>(s, wc, psim.get());
-    // Departed dynamic flows fold out of the link taps as they die —
-    // sequential runs only (taps belong to shard threads under --par; there
-    // the slot-tenure pressure displaces dead flows instead).
-    if (telemetry != nullptr && psim == nullptr) {
-      engine->set_telemetry(telemetry.get());
-    }
-    engine->start();
+    rc.workload = wc;
+  }
+  harness::Run run(s, std::move(rc));
+
+  // Corruption knobs for the checker's self-test, scheduled before run()
+  // so parallel adoption moves them onto the shard owning their target.
+  const auto mid = sim::TimePoint::from_seconds(c.duration_s / 2);
+  if (c.corrupt_transit_for_test && !s.bottlenecks.empty()) {
+    s.bottlenecks.front()->corrupt_transit_accounting_for_test();
+  }
+  if (c.corrupt_delivery_for_test && !s.receivers.empty()) {
+    tcp::Receiver* rx = s.receivers.front().get();
+    s.schedule_action(mid, rx->local_node(),
+                      [rx] { rx->corrupt_delivered_hash_for_test(); });
+  }
+  if (c.corrupt_telemetry_for_test && run.telemetry() != nullptr) {
+    telemetry::Telemetry* t = run.telemetry();
+    s.schedule_action(mid, /*affinity=*/0,
+                      [t] { t->corrupt_sketch_for_test(); });
   }
 
-  const auto end = sim::TimePoint::from_seconds(c.duration_s);
-  if (psim != nullptr) {
-    psim->run_until(end);
-  } else {
-    checker.start();
-    s.sched.run_until(end);
-  }
-  if (engine) engine->stop();
-  if (flapper) flapper->stop();
-  checker.finalize();
-
+  run.run();
+  const InvariantChecker& checker = *run.checker();
   FuzzResult result;
   result.ok = checker.ok();
   result.violations = checker.total_violations();
@@ -369,65 +272,51 @@ FuzzCase minimize_fuzz_case(const FuzzCase& failing, int max_runs) {
     return !run_fuzz_case(candidate).ok;
   };
 
+  // Each step simplifies one dimension and reports whether it applied.
+  // Telemetry first: it is pure observation, so a failure that survives
+  // without it was never a telemetry bug and every later simplification
+  // runs cheaper.
+  using Step = bool (*)(FuzzCase&);
+  static constexpr Step kSteps[] = {
+      [](FuzzCase& t) {
+        if (!t.telemetry) return false;
+        t.telemetry = t.corrupt_telemetry_for_test = false;
+        return true;
+      },
+      [](FuzzCase& t) { return std::exchange(t.churn_rate, 0.0) > 0; },
+      [](FuzzCase& t) { return std::exchange(t.reconfigure_mid_run, false); },
+      [](FuzzCase& t) { return std::exchange(t.flap, false); },
+      [](FuzzCase& t) { return std::exchange(t.jitter_ms, 0.0) > 0; },
+      [](FuzzCase& t) { return std::exchange(t.loss_rate, 0.0) > 0; },
+      [](FuzzCase& t) { return std::exchange(t.cross_traffic, false); },
+      [](FuzzCase& t) {
+        if (t.flows <= 1) return false;
+        t.flows = 1;
+        t.variants.resize(1);
+        return true;
+      },
+      [](FuzzCase& t) {
+        if (t.duration_s <= 1.5) return false;
+        t.duration_s = std::max(1.0, t.duration_s / 2);
+        return true;
+      },
+      [](FuzzCase& t) {
+        return std::exchange(t.topology, FuzzCase::Topology::kDumbbell) !=
+               FuzzCase::Topology::kDumbbell;
+      },
+  };
   // One simplification per pass, greedily accepted; repeat until a full
   // pass changes nothing or the run budget is spent.
   bool changed = true;
   while (changed && runs < max_runs) {
     changed = false;
-    // Telemetry first: it is pure observation, so a failure that survives
-    // without it was never a telemetry bug and every later simplification
-    // runs cheaper.
-    FuzzCase t = best;
-    if (best.telemetry) {
-      t.telemetry = false;
-      t.corrupt_telemetry_for_test = false;
-      if (still_fails(t)) { best = t; changed = true; continue; }
-    }
-    t = best;
-    if (best.churn_rate > 0) {
-      t.churn_rate = 0;
-      if (still_fails(t)) { best = t; changed = true; continue; }
-    }
-    t = best;
-    if (best.reconfigure_mid_run) {
-      t.reconfigure_mid_run = false;
-      if (still_fails(t)) { best = t; changed = true; continue; }
-    }
-    t = best;
-    if (best.flap) {
-      t.flap = false;
-      if (still_fails(t)) { best = t; changed = true; continue; }
-    }
-    t = best;
-    if (best.jitter_ms > 0) {
-      t.jitter_ms = 0;
-      if (still_fails(t)) { best = t; changed = true; continue; }
-    }
-    t = best;
-    if (best.loss_rate > 0) {
-      t.loss_rate = 0;
-      if (still_fails(t)) { best = t; changed = true; continue; }
-    }
-    t = best;
-    if (best.cross_traffic) {
-      t.cross_traffic = false;
-      if (still_fails(t)) { best = t; changed = true; continue; }
-    }
-    t = best;
-    if (best.flows > 1) {
-      t.flows = 1;
-      t.variants.resize(1);
-      if (still_fails(t)) { best = t; changed = true; continue; }
-    }
-    t = best;
-    if (best.duration_s > 1.5) {
-      t.duration_s = std::max(1.0, best.duration_s / 2);
-      if (still_fails(t)) { best = t; changed = true; continue; }
-    }
-    t = best;
-    if (best.topology != FuzzCase::Topology::kDumbbell) {
-      t.topology = FuzzCase::Topology::kDumbbell;
-      if (still_fails(t)) { best = t; changed = true; continue; }
+    for (const Step step : kSteps) {
+      FuzzCase t = best;
+      if (step(t) && still_fails(t)) {
+        best = std::move(t);
+        changed = true;
+        break;
+      }
     }
   }
   return best;
@@ -442,31 +331,24 @@ int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
     c.batching = batching;
     return c;
   };
-  struct CellResult {
-    bool ok = true;
-    std::string failure;
-  };
-  std::vector<CellResult> results(static_cast<std::size_t>(count));
+  std::vector<FuzzResult> results(static_cast<std::size_t>(count));
   harness::parallel_for(jobs, count, [&](int i) {
-    const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
-    const FuzzResult r = run_fuzz_case(case_for(seed));
-    if (!r.ok) {
-      results[static_cast<std::size_t>(i)].ok = false;
-      results[static_cast<std::size_t>(i)].failure = r.first_violation;
-    }
+    results[static_cast<std::size_t>(i)] =
+        run_fuzz_case(case_for(first_seed + static_cast<std::uint64_t>(i)));
   });
 
   int failures = 0;
   bool artifact_dir_ready = false;
   for (int i = 0; i < count; ++i) {
-    if (results[static_cast<std::size_t>(i)].ok) continue;
+    const FuzzResult& r = results[static_cast<std::size_t>(i)];
+    if (r.ok) continue;
     ++failures;
     const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
     const FuzzCase c = case_for(seed);
     std::fprintf(stderr, "FUZZ FAIL: %s  # %s\n", reproducer(c).c_str(),
                  describe(c).c_str());
     std::fprintf(stderr, "  first violation: %s\n",
-                 results[static_cast<std::size_t>(i)].failure.c_str());
+                 r.first_violation.c_str());
     std::string minimized;
     if (!quiet) {
       const FuzzCase min = minimize_fuzz_case(c);
@@ -489,8 +371,7 @@ int run_fuzz_campaign(std::uint64_t first_seed, int count, int jobs,
         if (std::FILE* f = std::fopen(path.c_str(), "w")) {
           std::fprintf(f, "reproduce: %s\n", reproducer(c).c_str());
           std::fprintf(f, "config: %s\n", describe(c).c_str());
-          std::fprintf(f, "first violation: %s\n",
-                       results[static_cast<std::size_t>(i)].failure.c_str());
+          std::fprintf(f, "first violation: %s\n", r.first_violation.c_str());
           if (!minimized.empty()) {
             std::fprintf(f, "minimized: %s\n", minimized.c_str());
           }

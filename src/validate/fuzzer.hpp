@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "harness/scenarios.hpp"
+#include "workload/workload.hpp"
 
 namespace tcppr::validate {
 
@@ -45,11 +46,9 @@ struct FuzzCase {
   // short dynamic transfers between the scenario's src/dst hosts while the
   // measured flows run. 0 = disabled. Sampled AFTER every other knob so
   // adding the dimension did not re-shuffle the cases seeds 1..N produced
-  // before it existed. churn_kind indexes workload::WorkloadKind
-  // (0=poisson, 1=web, 2=onoff; kept as int so this header does not pull
-  // in the workload layer).
+  // before it existed.
   double churn_rate = 0;  // mean dynamic-flow arrivals per second
-  int churn_kind = 0;
+  workload::WorkloadKind churn_kind = workload::WorkloadKind::kPoisson;
   // Link-tap reordering telemetry (src/telemetry) with the exact per-flow
   // baseline enabled, checked against the sketches every sweep. Sampled
   // AFTER churn (the seed-prefix rule above: seeds 1..N still expand to
@@ -63,10 +62,10 @@ struct FuzzCase {
   // LP count may be lower when the partitioner finds no positive-lookahead
   // cut.
   int par_lps = 0;
-  // Batched hot path (net::set_hot_path_batching), sampled at Network
-  // construction. Never sampled (like `par_lps`: the batched and
-  // unbatched engines must produce the identical trajectory); set
-  // explicitly by the batch-equivalence tests and --no-batch.
+  // Batched hot path (false = Network::disable_batching before the run).
+  // Never sampled (like `par_lps`: the batched and unbatched engines must
+  // produce the identical trajectory); set explicitly by the
+  // batch-equivalence tests and --no-batch.
   bool batching = true;
 
   // Mutation knobs for the checker's self-test. Never sampled by the
@@ -90,8 +89,9 @@ struct FuzzResult {
   std::uint64_t delivery_hash = 0;  // determinism oracle over the run
 };
 
-// Builds the scenario described by `c`, runs it under an InvariantChecker
-// for c.duration_s of simulated time, and reports the outcome.
+// Builds the scenario described by `c`, runs it through harness::Run under
+// an InvariantChecker for c.duration_s of simulated time, and reports the
+// outcome.
 FuzzResult run_fuzz_case(const FuzzCase& c);
 
 // One-line reproducer configuration (appended to "--fuzz-seed N").

@@ -26,7 +26,7 @@ FuzzCase churning_case(std::uint64_t seed) {
   FuzzCase c = sample_fuzz_case(seed);
   if (c.churn_rate <= 0) {
     c.churn_rate = 200.0 + 50.0 * static_cast<double>(seed % 8);
-    c.churn_kind = static_cast<int>(seed % 3);
+    c.churn_kind = static_cast<workload::WorkloadKind>(seed % 3);
   }
   c.duration_s = std::min(c.duration_s, 4.0);
   return c;

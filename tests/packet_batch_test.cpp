@@ -227,11 +227,10 @@ class RecordingAgent final : public Agent {
 // stamped next-tx op. Equal arrival sequences batched vs unbatched are
 // the observable witness.
 std::vector<std::pair<SeqNo, int>> run_jittered_lossy(bool batching) {
-  set_hot_path_batching(batching);
   sim::Scheduler sched;
   sched.enable_seq_stamping();
   Network network(sched);
-  set_hot_path_batching(true);  // restore the process default
+  if (!batching) network.disable_batching();
   const NodeId a = network.add_node();
   const NodeId b = network.add_node();
   LinkConfig cfg;

@@ -178,8 +178,8 @@ struct ChurnDigest {
 };
 
 ChurnDigest run_churn(WorkloadKind kind, int lps, bool batching) {
-  net::set_hot_path_batching(batching);
   auto s = make_churn_dumbbell(100e6);
+  if (!batching) s->network.disable_batching();
   validate::DeliveryHasher hasher;
   s->network.add_trace_sink(&hasher);
   WorkloadConfig wc = mice_config(2000);
@@ -201,7 +201,6 @@ ChurnDigest run_churn(WorkloadKind kind, int lps, bool batching) {
     psim.run_until(end);
     out.completed = engine.stats().completed;
   }
-  net::set_hot_path_batching(true);  // restore the process default
   out.hash = hasher.hash();
   out.delivered = hasher.delivered();
   return out;

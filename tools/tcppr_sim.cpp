@@ -79,19 +79,10 @@ constexpr const char* kTopologies[] = {
     "many-flows", "many-flows-graph", "fan-dumbbell",
 };
 
-std::optional<TcpVariant> parse_variant(const std::string& name) {
-  for (const TcpVariant v : harness::all_variants()) {
-    if (name == to_string(v)) return v;
-  }
-  return std::nullopt;
-}
-
-std::optional<workload::WorkloadKind> parse_workload(const std::string& name) {
-  if (name == "poisson") return workload::WorkloadKind::kPoisson;
-  if (name == "web") return workload::WorkloadKind::kWeb;
-  if (name == "onoff") return workload::WorkloadKind::kOnOff;
-  return std::nullopt;
-}
+// Ceiling on every time flag. The clock is int64 nanoseconds (~292
+// years); at 1e6 s the end of the run, a path's summed link delays and
+// every timer derived from them stay far inside that range.
+constexpr double kMaxSeconds = 1e6;
 
 void usage() {
   std::printf(
@@ -113,6 +104,8 @@ void usage() {
       "  --measured <s>        trailing measurement window (default 30)\n"
       "  --bottleneck <mbps>   dumbbell bottleneck (default 15)\n"
       "  --delay <ms>          link delay override\n"
+      "                        (time flags are capped at 1e6 simulated\n"
+      "                        seconds: --delay at 1e9 ms)\n"
       "  --alpha <a> --beta <b>  TCP-PR parameters (default 0.995 / 3)\n"
       "  --seed <n>            RNG seed (default 1)\n"
       "  --trace <file>        write an ns-2-style packet trace\n"
@@ -132,12 +125,13 @@ void usage() {
       "                        preset whose on/off population pins\n"
       "                        concurrency at --flows (pair with\n"
       "                        --topology fan-dumbbell)\n"
-      "  --arrival-rate <r>    workload mean arrivals per second\n"
+      "  --arrival-rate <r>    workload mean arrivals per second, >= 1e-6\n"
       "                        (default 100; on/off kind ignores it)\n"
       "  --max-concurrent <n>  workload concurrency cap override\n"
       "  --id-slots <n>        workload flow-id slot table size override\n"
       "  --expect-concurrent <n>  exit nonzero unless the workload's peak\n"
-      "                        concurrency reached n (scale gating)\n"
+      "                        concurrency reached n (scale gating;\n"
+      "                        needs --workload)\n"
       "  --no-batch            disable the batched hot path (one scheduler\n"
       "                        event per packet op; byte-identical results,\n"
       "                        the perf-comparison baseline). Also applies\n"
@@ -222,6 +216,7 @@ bool parse(int argc, char** argv, Args& args) {
     };
     const auto positive = [](double v) { return v > 0; };
     const auto non_negative = [](double v) { return v >= 0; };
+    const auto time_span = [](double v) { return v > 0 && v <= kMaxSeconds; };
     if (flag == "--help" || flag == "-h") {
       usage();
       std::exit(0);
@@ -233,7 +228,7 @@ bool parse(int argc, char** argv, Args& args) {
       }
     } else if (flag == "--variant") {
       const std::string name = text();
-      const auto variant = parse_variant(name);
+      const auto variant = harness::parse_variant(name);
       if (!variant) usage_error(flag, name.c_str(), "a sender name");
       args.variant = *variant;
     } else if (flag == "--flows") {
@@ -250,13 +245,15 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (flag == "--sack-flows") {
       args.sack_flows = count(0);
     } else if (flag == "--duration") {
-      args.duration_s = real(positive, "seconds > 0");
+      args.duration_s = real(time_span, "seconds in (0, 1e6]");
     } else if (flag == "--measured") {
       args.measured_s = real(non_negative, "seconds >= 0");
     } else if (flag == "--bottleneck") {
       args.bottleneck_mbps = real(positive, "Mbps > 0");
     } else if (flag == "--delay") {
-      args.link_delay_ms = real(positive, "milliseconds > 0");
+      args.link_delay_ms =
+          real([](double v) { return v > 0 && v <= kMaxSeconds * 1e3; },
+               "milliseconds in (0, 1e9]");
     } else if (flag == "--alpha") {
       args.alpha = real([](double v) { return v > 0 && v < 1; },
                         "a number in (0, 1)");
@@ -269,18 +266,23 @@ bool parse(int argc, char** argv, Args& args) {
     } else if (flag == "--ts-out") {
       args.ts_out = text();
     } else if (flag == "--ts-interval") {
-      args.ts_interval_s = real(positive, "seconds > 0");
+      args.ts_interval_s = real(time_span, "seconds in (0, 1e6]");
     } else if (flag == "--validate") {
       args.validate = true;
     } else if (flag == "--telemetry") {
       args.telemetry = true;
     } else if (flag == "--workload") {
       args.workload = text();
-      if (args.workload != "million" && !parse_workload(args.workload)) {
+      workload::WorkloadKind kind{};
+      if (args.workload != "million" &&
+          !workload::parse_workload_kind(args.workload, &kind)) {
         usage_error(flag, args.workload.c_str(), "poisson|web|onoff|million");
       }
     } else if (flag == "--arrival-rate") {
-      args.arrival_rate = real(positive, "arrivals per second > 0");
+      // Exponential gaps reach ~37 / rate seconds; the floor keeps them on
+      // the clock's range like the time flags.
+      args.arrival_rate = real([](double v) { return v >= 1 / kMaxSeconds; },
+                               "arrivals per second >= 1e-6");
     } else if (flag == "--max-concurrent") {
       args.max_concurrent = count(1);
     } else if (flag == "--id-slots") {
@@ -317,6 +319,11 @@ bool parse(int argc, char** argv, Args& args) {
                   expected.c_str());
     }
   }
+  if (args.expect_concurrent > 0 && args.workload.empty()) {
+    std::fprintf(stderr, "tcppr_sim: --expect-concurrent needs a --workload "
+                 "overlay (try --help)\n");
+    std::exit(2);
+  }
   args.measured_s = std::min(args.measured_s, args.duration_s);
   return true;
 }
@@ -325,6 +332,17 @@ std::unique_ptr<harness::Scenario> build(const Args& args) {
   core::TcpPrConfig pr;
   pr.alpha = args.alpha;
   pr.beta = args.beta;
+  const bool delay_override = args.link_delay_ms > 0;
+  const sim::Duration delay = sim::Duration::millis(args.link_delay_ms);
+  // The settings every topology shares, then its builder; `link_delay` is
+  // the field --delay overrides.
+  const auto finish = [&](auto& config, sim::Duration& link_delay,
+                          auto make) {
+    config.pr = pr;
+    config.seed = args.seed;
+    if (delay_override) link_delay = delay;
+    return make(config);
+  };
   if (args.topology == "many-flows" || args.topology == "many-flows-graph") {
     harness::ManyFlowsConfig config;
     config.topology = args.topology == "many-flows-graph"
@@ -332,57 +350,32 @@ std::unique_ptr<harness::Scenario> build(const Args& args) {
                           : harness::ManyFlowsConfig::Topology::kDumbbell;
     config.flows = args.flows;
     config.pr_fraction = args.pr_fraction;
-    if (args.link_delay_ms > 0) {
-      config.bottleneck_delay = sim::Duration::millis(args.link_delay_ms);
-      config.graph_delay = sim::Duration::millis(args.link_delay_ms);
-    }
-    config.pr = pr;
-    config.seed = args.seed;
-    return harness::make_many_flows(config);
+    if (delay_override) config.graph_delay = delay;
+    return finish(config, config.bottleneck_delay, harness::make_many_flows);
   }
   if (args.topology == "fan-dumbbell") {
     harness::FanDumbbellConfig config = harness::million_fan_config(args.flows);
     config.fan_width = args.fan_width;
-    if (args.link_delay_ms > 0) {
-      config.bottleneck_delay = sim::Duration::millis(args.link_delay_ms);
-    }
-    config.pr = pr;
-    config.seed = args.seed;
-    return harness::make_fan_dumbbell(config);
+    return finish(config, config.bottleneck_delay, harness::make_fan_dumbbell);
   }
   if (args.topology == "dumbbell") {
     harness::DumbbellConfig config;
     config.pr_flows = args.pr_flows;
     config.sack_flows = args.sack_flows;
     config.bottleneck_bw_bps = args.bottleneck_mbps * 1e6;
-    if (args.link_delay_ms > 0) {
-      config.bottleneck_delay = sim::Duration::millis(args.link_delay_ms);
-    }
-    config.pr = pr;
-    config.seed = args.seed;
-    return harness::make_dumbbell(config);
+    return finish(config, config.bottleneck_delay, harness::make_dumbbell);
   }
   if (args.topology == "parking-lot") {
     harness::ParkingLotConfig config;
     config.pr_flows = args.pr_flows;
     config.sack_flows = args.sack_flows;
-    if (args.link_delay_ms > 0) {
-      config.chain_delay = sim::Duration::millis(args.link_delay_ms);
-    }
-    config.pr = pr;
-    config.seed = args.seed;
-    return harness::make_parking_lot(config);
+    return finish(config, config.chain_delay, harness::make_parking_lot);
   }
   // "multipath": parse() admits no other name.
   harness::MultipathConfig config;
   config.variant = args.variant;
   config.epsilon = args.epsilon;
-  if (args.link_delay_ms > 0) {
-    config.link_delay = sim::Duration::millis(args.link_delay_ms);
-  }
-  config.pr = pr;
-  config.seed = args.seed;
-  return harness::make_multipath(config);
+  return finish(config, config.link_delay, harness::make_multipath);
 }
 
 }  // namespace
@@ -421,9 +414,7 @@ int main(int argc, char** argv) {
     return failures == 0 ? 0 : 1;
   }
 
-  net::set_hot_path_batching(!args.no_batch);
   auto scenario = build(args);
-  net::set_hot_path_batching(true);
 
   std::unique_ptr<trace::FileTrace> trace_file;
   if (!args.trace_path.empty()) {
@@ -438,9 +429,7 @@ int main(int argc, char** argv) {
   obs::MetricRegistry registry;
   std::unique_ptr<obs::SeriesSink> series_sink;
   if (!args.ts_out.empty()) {
-    const bool ndjson = args.ts_out.size() > 7 &&
-                        args.ts_out.rfind(".ndjson") == args.ts_out.size() - 7;
-    if (ndjson) {
+    if (args.ts_out.ends_with(".ndjson")) {
       series_sink = std::make_unique<obs::NdjsonSink>(args.ts_out);
     } else {
       series_sink = std::make_unique<obs::CsvSeriesSink>(args.ts_out);
@@ -450,55 +439,22 @@ int main(int argc, char** argv) {
       return 1;
     }
     registry.add_sink(series_sink.get());
-    if (args.par >= 1) {
-      // Per-flow probes schedule on the build scheduler and stay
-      // sequential-only; under --par the time-series output instead
-      // carries the per-LP engine gauges published with the barrier
-      // report after the run.
-    } else {
+    // Per-flow probes schedule on the build scheduler and stay
+    // sequential-only; under --par the time-series output instead carries
+    // the per-LP engine gauges published with the barrier report.
+    if (args.par == 0) {
       scenario->attach_observability(
           registry, sim::Duration::seconds(args.ts_interval_s));
     }
   }
 
-  std::unique_ptr<validate::InvariantChecker> checker;
-  if (args.validate) {
-    checker = std::make_unique<validate::InvariantChecker>(*scenario);
-  }
-  // Reordering telemetry: one tap per link, attached before anything runs.
-  // Pure observation — results (and delivery hashes) are byte-identical
-  // with or without it. Under --validate the taps also carry the exact
-  // per-flow baseline, and every checker sweep becomes a sketch-vs-exact
-  // differential check. The baseline is O(flows) per link — at the
-  // million-flow scale row it would dwarf the simulation itself, so past
-  // 2^16 flows validation keeps the sketch bound checks and drops the
-  // exact differential (the checker skips taps without a baseline).
-  std::unique_ptr<telemetry::Telemetry> telemetry;
-  if (args.telemetry) {
-    telemetry::TelemetryConfig tc;
-    tc.tap.exact_baseline = args.validate && args.flows <= (1 << 16);
-    telemetry = std::make_unique<telemetry::Telemetry>(scenario->network, tc);
-    if (checker) checker->set_telemetry(telemetry.get());
-  }
-  // Parallel harness: built after every component (flows, sinks, checker)
-  // but before anything runs — its constructor adopts the scenario's
-  // build-time events. Observability probes schedule on the build
-  // scheduler and are not supported in parallel mode.
-  std::unique_ptr<harness::ParallelSim> psim;
-  if (args.par >= 1) {
-    harness::ParallelRunConfig pc;
-    pc.lps = args.par;
-    psim = std::make_unique<harness::ParallelSim>(*scenario, pc);
-    if (checker) psim->set_checker(checker.get());
-  } else if (checker) {
-    checker->start();
-  }
-
-  // Dynamic-churn overlay: created after the ParallelSim (like the
-  // fuzzer's) so arrival/teardown events land on the shards owning the
-  // src/dst hosts; destroyed before psim and the scenario (declaration
-  // order below ensures it).
-  std::unique_ptr<workload::WorkloadEngine> engine;
+  harness::RunConfig rc;
+  rc.window.total = sim::Duration::seconds(args.duration_s);
+  rc.window.measured = sim::Duration::seconds(args.measured_s);
+  rc.telemetry = args.telemetry;
+  rc.validate = args.validate;
+  rc.par_lps = args.par;
+  rc.batching = !args.no_batch;
   if (!args.workload.empty()) {
     workload::WorkloadConfig wc;
     if (args.workload == "million") {
@@ -506,28 +462,21 @@ int main(int argc, char** argv) {
       // fan-dumbbell plant built above.
       wc = workload::million_workload_config(args.flows);
     } else {
-      wc.kind = *parse_workload(args.workload);  // checked in parse()
+      workload::parse_workload_kind(args.workload, &wc.kind);  // checked
       wc.arrival_rate = args.arrival_rate;
     }
     if (args.max_concurrent > 0) wc.max_concurrent = args.max_concurrent;
     if (args.id_slots > 0) wc.id_slots = args.id_slots;
     wc.seed = args.seed ^ 0xC4u;
-    engine = std::make_unique<workload::WorkloadEngine>(*scenario, wc,
-                                                        psim.get());
-    if (series_sink && !psim) {
-      registry.set_aggregate_only(true);  // churn scale: no per-flow labels
-      engine->set_metric_registry(registry);
-    }
-    if (telemetry && !psim) engine->set_telemetry(telemetry.get());
-    engine->start();
+    rc.workload = wc;
   }
-
-  harness::MeasurementWindow window;
-  window.total = sim::Duration::seconds(args.duration_s);
-  window.measured = sim::Duration::seconds(args.measured_s);
-  const auto result = run_scenario(*scenario, window, psim.get());
-  if (engine) engine->stop();
-  if (checker) checker->finalize();
+  if (series_sink) rc.registry = &registry;
+  harness::Run run(*scenario, std::move(rc));
+  const auto result = run.run();
+  const harness::ParallelSim* psim = run.psim();
+  const workload::WorkloadEngine* engine = run.engine();
+  const telemetry::Telemetry* telemetry = run.telemetry();
+  const validate::InvariantChecker* checker = run.checker();
 
   std::printf("topology=%s duration=%.0fs measured=%.0fs seed=%llu\n",
               args.topology.c_str(), args.duration_s, args.measured_s,
@@ -555,7 +504,6 @@ int main(int argc, char** argv) {
                             sim::TimePoint::from_seconds(args.duration_s));
     }
   }
-  const auto norm = result.normalized();
   if (result.flows.size() <= 32) {
     std::printf("%-4s %-9s %12s %12s %8s %6s %6s %6s\n", "flow", "variant",
                 "thr (kbps)", "goodput", "rtx", "spur", "to", "halv");
@@ -694,12 +642,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (args.expect_concurrent > 0) {
-    if (engine == nullptr) {
-      std::fprintf(stderr,
-                   "--expect-concurrent requires a --workload overlay\n");
-      return 1;
-    }
+  if (args.expect_concurrent > 0) {  // parse() ensures a workload
     const std::size_t peak = engine->stats().peak_active;
     if (peak < args.expect_concurrent) {
       std::fprintf(stderr,
