@@ -124,9 +124,9 @@ BENCHMARK(BM_PacketForwardLoop)->Unit(benchmark::kMillisecond);
 // The same three-hop forwarding burst with the batched hot path toggled:
 // Arg 0 = unbatched (per-packet scheduler events), 1 = batched (link-pump
 // carrier events, batched queue ops). The events_per_packet counter is the
-// headline metric — carrier events amortize across whole delivery runs, so
-// the batched row drops well below one scheduler event per delivered
-// packet while the unbatched row pays several.
+// headline metric — one carrier event chains every packet op that is next
+// in schedule order, so the batched row drops well below one scheduler
+// event per delivered packet while the unbatched row pays several.
 void BM_BatchDelivery(benchmark::State& state) {
   struct Sink : net::Agent {
     std::uint64_t received = 0;

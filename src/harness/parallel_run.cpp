@@ -168,17 +168,6 @@ net::LinkPump::Stats ParallelSim::pump_stats() const {
     const net::LinkPump::Stats& s = pump->stats();
     total.events += s.events;
     total.ops += s.ops;
-    total.delivery_runs += s.delivery_runs;
-    total.delivered_in_runs += s.delivered_in_runs;
-  }
-  return total;
-}
-
-net::LinkPump::RunHistogram ParallelSim::pump_histogram() const {
-  net::LinkPump::RunHistogram total{};
-  for (const auto& pump : pumps_) {
-    const net::LinkPump::RunHistogram h = pump->aggregate_histogram();
-    for (std::size_t i = 0; i < total.size(); ++i) total[i] += h[i];
   }
   return total;
 }

@@ -116,7 +116,6 @@ class ParallelSim {
   // Aggregate batch-pump counters across the per-LP pumps (all zeros when
   // the scenario's network had batching disabled).
   net::LinkPump::Stats pump_stats() const;
-  net::LinkPump::RunHistogram pump_histogram() const;
 
  private:
   // Buffers one LP's trace records with the merge key: the record, the

@@ -280,46 +280,10 @@ void Link::insert_delivery(sim::TimePoint at, std::uint64_t seq,
   }
 }
 
-void Link::pump_run_deliveries() {
+void Link::pump_run_delivery() {
   TCPPR_DCHECK(!ring_.empty());
-  DeliveryEntry first = ring_.pop_front();
-  const sim::TimePoint at = first.at;
-  // Fast path: no same-time successor can ride this event — deliver
-  // without touching a batch.
-  if (ring_.empty() || ring_.front().at != at ||
-      !pump_->try_extend(PumpKey{ring_.front().at, ring_.front().seq})) {
-    pump_->note_delivery_run(pump_id_, 1);
-    deliver_one(std::move(first.pkt));
-    if (!ring_.empty()) {
-      pump_->push_op(PumpKey{ring_.front().at, ring_.front().seq}, pump_id_,
-                     PumpOp::kDeliver);
-    }
-    return;
-  }
-  // The pump accepted the successor: collect the run into one batch. Each
-  // entry carries the sequence its own delivery event would have had, so
-  // the node can advance the clock per packet and keep trace records keyed
-  // exactly as the unbatched engine keys them.
-  PacketBatch batch;
-  auto account = [this](DeliveryEntry& e, PacketBatch& b) {
-    ++stats_.delivered;
-    stats_.bytes_delivered += e.pkt->size_bytes;
-    if (!skip_transit_decrement_) --in_transit_;
-    if (tap_ != nullptr) tap_->on_deliver(*e.pkt);
-    b.push(std::move(*e.pkt), e.seq);
-    // The pooled shell releases here; the packet payload rides the batch.
-  };
-  account(first, batch);
-  DeliveryEntry next = ring_.pop_front();  // the entry try_extend accepted
-  account(next, batch);
-  while (!ring_.empty() && ring_.front().at == at &&
-         pump_->try_extend(PumpKey{ring_.front().at, ring_.front().seq})) {
-    DeliveryEntry e = ring_.pop_front();
-    account(e, batch);
-  }
-  pump_->note_delivery_run(pump_id_, batch.size());
-  TCPPR_DCHECK(dst_node_ != nullptr);
-  dst_node_->receive_batch(std::move(batch));
+  DeliveryEntry head = ring_.pop_front();
+  deliver_one(std::move(head.pkt));
   if (!ring_.empty()) {
     pump_->push_op(PumpKey{ring_.front().at, ring_.front().seq}, pump_id_,
                    PumpOp::kDeliver);

@@ -172,10 +172,9 @@ class Link {
   // key): frees the transmitter, starts the next transmission, then runs
   // the completed packet's loss lottery / propagation setup.
   void pump_run_tx();
-  // Executes the delivery at the ring head plus every same-time successor
-  // the pump lets ride the current event, handing multi-packet runs to the
-  // destination node as one PacketBatch.
-  void pump_run_deliveries();
+  // Executes the delivery at the ring head (clock already at its key) and
+  // offers the next entry, if any, to the pump as the new head.
+  void pump_run_delivery();
 
   NodeId from() const { return from_; }
   NodeId to() const { return to_; }

@@ -1,7 +1,6 @@
 #include "net/link_pump.hpp"
 
 #include "net/link.hpp"
-#include "util/check.hpp"
 
 namespace tcppr::net {
 
@@ -11,7 +10,6 @@ LinkPump::~LinkPump() {
 
 std::uint32_t LinkPump::add_link(Link* link) {
   links_.push_back(link);
-  histograms_.emplace_back();
   return static_cast<std::uint32_t>(links_.size() - 1);
 }
 
@@ -63,19 +61,6 @@ void LinkPump::push_op(PumpKey k, std::uint32_t link_id, PumpOp op) {
   }
 }
 
-bool LinkPump::try_extend(PumpKey k) {
-  TCPPR_DCHECK(in_batch_);
-  const auto other = peek_valid_min();
-  if (other && !(k.at < other->time ||
-                 (k.at == other->time && k.seq < other->seq))) {
-    return false;
-  }
-  if (!sched_->would_fire_next(k.at, k.seq)) return false;
-  sched_->advance_batched_op(k.at, k.seq);
-  ++stats_.ops;
-  return true;
-}
-
 void LinkPump::on_event() {
   // Fired at parked_key_ == the earliest op's key; the scheduler has
   // already advanced now/current_event_seq to it.
@@ -93,7 +78,7 @@ void LinkPump::on_event() {
     if (static_cast<PumpOp>(e->id & 1) == PumpOp::kTxComplete) {
       link->pump_run_tx();
     } else {
-      link->pump_run_deliveries();
+      link->pump_run_delivery();
     }
     const auto next = peek_valid_min();
     if (!next) break;
@@ -106,25 +91,6 @@ void LinkPump::on_event() {
     // it inside this same event.
   }
   in_batch_ = false;
-}
-
-void LinkPump::note_delivery_run(std::uint32_t link_id, std::size_t len) {
-  ++stats_.delivery_runs;
-  stats_.delivered_in_runs += len;
-  std::size_t bucket = 0;
-  while (bucket + 1 < histograms_[link_id].size() &&
-         (std::size_t{1} << (bucket + 1)) <= len) {
-    ++bucket;
-  }
-  ++histograms_[link_id][bucket];
-}
-
-LinkPump::RunHistogram LinkPump::aggregate_histogram() const {
-  RunHistogram total{};
-  for (const RunHistogram& h : histograms_) {
-    for (std::size_t i = 0; i < total.size(); ++i) total[i] += h[i];
-  }
-  return total;
 }
 
 }  // namespace tcppr::net

@@ -10,9 +10,7 @@
 // op and then keeps going: as long as the earliest remaining op would be
 // the very next thing the scheduler ran anyway (Scheduler::would_fire_next)
 // it advances the clock to that op's key (advance_batched_op) and executes
-// it inside the same event. Deliveries landing back to back on one link
-// additionally coalesce into a PacketBatch handed to the node in one call
-// (see Link::pump_run_deliveries). Every op still executes at exactly the
+// it inside the same event. Every op still executes at exactly the
 // (time, seq) position it holds in the unbatched schedule, so delivery
 // order — and therefore the determinism oracle's kDeliver stream — is
 // byte-identical; only the number of scheduler events shrinks. Every
@@ -26,7 +24,6 @@
 // pop, mirroring the scheduler's own lazy cancellation.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -52,12 +49,7 @@ class LinkPump {
   struct Stats {
     std::uint64_t events = 0;  // carrier events fired
     std::uint64_t ops = 0;     // packet ops executed (>= events)
-    std::uint64_t delivery_runs = 0;
-    std::uint64_t delivered_in_runs = 0;
   };
-  // log2 histogram of delivery-run lengths: bucket i counts runs of length
-  // in [2^i, 2^(i+1)); the last bucket is open-ended (>= 128).
-  using RunHistogram = std::array<std::uint64_t, 8>;
 
   explicit LinkPump(sim::Scheduler& sched) : sched_(&sched) {}
   LinkPump(const LinkPump&) = delete;
@@ -75,22 +67,7 @@ class LinkPump {
   // inside a batch the main loop re-parks after draining.
   void push_op(PumpKey k, std::uint32_t link_id, PumpOp op);
 
-  // Called by a link mid-delivery-run: true when the op keyed `k` (the
-  // link's next ring entry) may ride the current event — it precedes every
-  // other pump op and every pending scheduler event. On success the clock
-  // has been advanced to `k` and the caller must execute the op.
-  bool try_extend(PumpKey k);
-
-  // Per-link delivery-run length accounting (obs: batch-size histogram).
-  void note_delivery_run(std::uint32_t link_id, std::size_t len);
-
   const Stats& stats() const { return stats_; }
-  const RunHistogram& run_histogram(std::uint32_t link_id) const {
-    return histograms_[link_id];
-  }
-  std::size_t link_count() const { return links_.size(); }
-  // Sum of all per-link histograms.
-  RunHistogram aggregate_histogram() const;
 
  private:
   void on_event();
@@ -103,7 +80,6 @@ class LinkPump {
 
   sim::Scheduler* sched_;
   std::vector<Link*> links_;
-  std::vector<RunHistogram> histograms_;
   sim::HeapQueue heap_;  // entry id = (link_id << 1) | op
   sim::EventId parked_{};
   PumpKey parked_key_{};

@@ -83,54 +83,6 @@ void Node::receive(Packet&& pkt) {
   forward(std::move(pkt));
 }
 
-void Node::receive_batch(PacketBatch&& batch) {
-  const std::size_t n = batch.size();
-  std::size_t i = 0;
-  while (i < n) {
-    // Each packet's processing runs under the sequence of the delivery
-    // event it would have been, so anything it emits (trace records in
-    // particular) is keyed identically to the unbatched run.
-    if (sched_ != nullptr && batch.seq(i) != 0) {
-      sched_->advance_batched_op(sched_->now(), batch.seq(i));
-    }
-    Packet& pkt = batch[i];
-    if (pkt.dst != id_) {
-      forward(std::move(pkt));
-      ++i;
-      continue;
-    }
-    Agent* agent = find_agent(pkt.tcp.flow);
-    if (agent == nullptr) {
-      ++stats_.unroutable;
-      warn_no_agent(pkt.tcp.flow);
-      ++i;
-      continue;
-    }
-    // Extend the run over consecutive packets for the same agent; the
-    // per-packet delivery epilogue (stats, kDeliver record under the
-    // packet's own sequence) happens here, the agent sees one batch.
-    const bool tracing = tracer_ != nullptr && tracer_->active();
-    std::size_t j = i;
-    for (;;) {
-      if (j > i && sched_ != nullptr && batch.seq(j) != 0) {
-        sched_->advance_batched_op(sched_->now(), batch.seq(j));
-      }
-      ++stats_.delivered_to_agent;
-      if (tracing) {
-        tracer_->emit(sched_->now(), trace::EventType::kDeliver, batch[j],
-                      id_, id_);
-      }
-      ++j;
-      if (j >= n || batch[j].dst != id_ ||
-          batch[j].tcp.flow != pkt.tcp.flow) {
-        break;
-      }
-    }
-    agent->deliver_batch(batch, i, j);
-    i = j;
-  }
-}
-
 void Node::originate_prologue(Packet& pkt) {
   ++stats_.originated;
   pkt.src = id_;

@@ -26,11 +26,9 @@ class Agent {
  public:
   virtual ~Agent() = default;
   virtual void deliver(Packet&& pkt) = 0;
-  // Batched delivery: entries [begin, end) of the batch all belong to this
-  // agent and arrived in one scheduler event. The default preserves
-  // per-packet semantics exactly (senders keep it: their per-ACK
-  // congestion updates are order-sensitive); the Receiver overrides it to
-  // fold the batch into one ACK train.
+  // Hands entries [begin, end) of a batch over one at a time. Links
+  // deliver packet by packet, so nothing in the simulator calls this; it
+  // remains because perfbench's timing wrapper overrides it.
   virtual void deliver_batch(PacketBatch& batch, std::size_t begin,
                              std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) deliver(std::move(batch[i]));
@@ -99,15 +97,9 @@ class Node {
 
   // Entry point for packets arriving from a link.
   void receive(Packet&& pkt);
-  // Batched entry point: a delivery run coalesced by the link pump. Each
-  // entry carries the tie-break sequence of the delivery event it replaces
-  // so the clock's current-event sequence advances per packet (buffered
-  // trace records stay keyed exactly as in the unbatched engine).
-  // Consecutive packets for the same agent hand off as one deliver_batch.
-  void receive_batch(PacketBatch&& batch);
   // Entry point for locally generated packets.
   void originate(Packet&& pkt);
-  // Burst entry point: a sender window-burst or receiver ACK train. Runs
+  // Burst entry point: a sender's window burst (SenderBase::BurstScope). Runs
   // the per-packet originate prologue (stats, routing policy, trace) in
   // order, then hands consecutive same-link runs to Link::send_batch.
   void originate_burst(PacketBatch&& batch);

@@ -1,21 +1,15 @@
-// Per-event packet batch: the carrier the batched hot path hands between
-// layers (link delivery runs -> Node::receive_batch -> Agent::deliver_batch,
-// sender send-bursts -> Node::originate_burst -> Link::send_batch).
+// Packet burst carrier: a sender's window burst travels as one batch from
+// SenderBase::BurstScope through Node::originate_burst and
+// Link::send_batch to Queue::enqueue_batch.
 //
 // Small-buffer container in the spirit of util::InlineVec, which cannot
 // hold Packet itself (InlineVec is restricted to trivially copyable
-// element types): the first kInline entries live inline in the batch —
-// enough for a typical delivery run or ACK train without touching the
-// allocator — and larger bursts spill to one heap buffer. Each entry
-// optionally carries the scheduler tie-break sequence of the event the
-// packet's individual delivery would have been (0 when the batch was built
-// outside the pump, e.g. a send-burst), so downstream layers can advance
-// the clock's current-event sequence per packet and keep buffered trace
-// records keyed exactly as the unbatched engine keys them.
+// element types): the first kInline packets live inline in the batch —
+// enough for a typical window burst without touching the allocator — and
+// larger bursts spill to one heap buffer.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <utility>
 
@@ -26,11 +20,6 @@ namespace tcppr::net {
 
 class PacketBatch {
  public:
-  struct Entry {
-    Packet pkt;
-    std::uint64_t seq;
-  };
-
   static constexpr std::size_t kInline = 8;
 
   PacketBatch() = default;
@@ -46,9 +35,9 @@ class PacketBatch {
   }
   ~PacketBatch() { destroy(); }
 
-  void push(Packet&& pkt, std::uint64_t seq = 0) {
+  void push(Packet&& pkt) {
     if (size_ == cap_) grow();
-    ::new (static_cast<void*>(data_ + size_)) Entry{std::move(pkt), seq};
+    ::new (static_cast<void*>(data_ + size_)) Packet(std::move(pkt));
     ++size_;
   }
 
@@ -57,15 +46,11 @@ class PacketBatch {
 
   Packet& operator[](std::size_t i) {
     TCPPR_DCHECK(i < size_);
-    return data_[i].pkt;
+    return data_[i];
   }
   const Packet& operator[](std::size_t i) const {
     TCPPR_DCHECK(i < size_);
-    return data_[i].pkt;
-  }
-  std::uint64_t seq(std::size_t i) const {
-    TCPPR_DCHECK(i < size_);
-    return data_[i].seq;
+    return data_[i];
   }
 
   void clear() {
@@ -76,27 +61,27 @@ class PacketBatch {
   }
 
  private:
-  Entry* inline_data() { return reinterpret_cast<Entry*>(inline_); }
+  Packet* inline_data() { return reinterpret_cast<Packet*>(inline_); }
   bool on_heap() const {
-    return data_ != reinterpret_cast<const Entry*>(inline_);
+    return data_ != reinterpret_cast<const Packet*>(inline_);
   }
 
   void grow() {
     const std::size_t new_cap = cap_ * 2;
-    Entry* fresh = static_cast<Entry*>(
-        ::operator new(sizeof(Entry) * new_cap, std::align_val_t{alignof(Entry)}));
+    Packet* fresh = static_cast<Packet*>(::operator new(
+        sizeof(Packet) * new_cap, std::align_val_t{alignof(Packet)}));
     for (std::size_t i = 0; i < size_; ++i) {
-      ::new (static_cast<void*>(fresh + i)) Entry{std::move(data_[i])};
-      data_[i].~Entry();
+      ::new (static_cast<void*>(fresh + i)) Packet(std::move(data_[i]));
+      data_[i].~Packet();
     }
-    if (on_heap()) ::operator delete(data_, std::align_val_t{alignof(Entry)});
+    if (on_heap()) ::operator delete(data_, std::align_val_t{alignof(Packet)});
     data_ = fresh;
     cap_ = new_cap;
   }
 
   void destroy() {
-    for (std::size_t i = 0; i < size_; ++i) data_[i].~Entry();
-    if (on_heap()) ::operator delete(data_, std::align_val_t{alignof(Entry)});
+    for (std::size_t i = 0; i < size_; ++i) data_[i].~Packet();
+    if (on_heap()) ::operator delete(data_, std::align_val_t{alignof(Packet)});
   }
 
   void steal(PacketBatch&& other) {
@@ -109,8 +94,8 @@ class PacketBatch {
       size_ = other.size_;
       cap_ = kInline;
       for (std::size_t i = 0; i < size_; ++i) {
-        ::new (static_cast<void*>(data_ + i)) Entry{std::move(other.data_[i])};
-        other.data_[i].~Entry();
+        ::new (static_cast<void*>(data_ + i)) Packet(std::move(other.data_[i]));
+        other.data_[i].~Packet();
       }
     }
     other.data_ = other.inline_data();
@@ -118,10 +103,10 @@ class PacketBatch {
     other.cap_ = kInline;
   }
 
-  Entry* data_ = inline_data();
+  Packet* data_ = inline_data();
   std::size_t size_ = 0;
   std::size_t cap_ = kInline;
-  alignas(Entry) std::byte inline_[sizeof(Entry) * kInline];
+  alignas(Packet) std::byte inline_[sizeof(Packet) * kInline];
 };
 
 }  // namespace tcppr::net

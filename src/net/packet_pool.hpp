@@ -7,13 +7,8 @@
 // the link checks packets out of a pool and captures a PooledPacket — a
 // unique_ptr whose 32 bytes fit the inline buffer with room for `this`.
 //
-// Slots are indexed and generation-tagged: the free list holds 32-bit slot
-// indices, and each slot carries a generation that bumps every time the
-// slot is released. A Ref{index, generation} taken by the bulk API
-// (alloc_n/free_n — one free-list splice for a whole batch, no per-packet
-// branch) is therefore safe across bulk cycles: a stale Ref whose slot was
-// recycled fails the generation check instead of aliasing the new
-// occupant.
+// Slots are indexed: the free list holds 32-bit slot indices, and a
+// PooledPacket's deleter carries its slot's index back to the list.
 //
 // Ownership: the pool is held by shared_ptr. Each PooledPacket's deleter
 // keeps a reference, so a callback that is destroyed without running (a
@@ -29,7 +24,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "util/check.hpp"
 
 namespace tcppr::net {
 
@@ -46,14 +40,6 @@ using PooledPacket = std::unique_ptr<Packet, PacketReturner>;
 
 class PacketPool : public std::enable_shared_from_this<PacketPool> {
  public:
-  // Handle to a bulk-reserved slot. Valid until the slot is released
-  // (adopt + PooledPacket destruction, free_n, or release); any later use
-  // trips the generation check.
-  struct Ref {
-    std::uint32_t index = 0;
-    std::uint32_t generation = 0;
-  };
-
   static std::shared_ptr<PacketPool> create() {
     return std::make_shared<PacketPool>();
   }
@@ -77,53 +63,7 @@ class PacketPool : public std::enable_shared_from_this<PacketPool> {
                         PacketReturner{shared_from_this(), index}};
   }
 
-  // Reserves n slots in one free-list splice: after a (cold-pool-only)
-  // growth loop tops the free list up, the refs are carved off its tail
-  // with a single resize — no per-packet empty-check branch.
-  void alloc_n(std::size_t n, Ref* out) {
-    while (free_.size() < n) {
-      storage_.push_back(std::make_unique<Packet>());
-      gens_.push_back(1);
-      free_.push_back(static_cast<std::uint32_t>(storage_.size() - 1));
-    }
-    const std::size_t base = free_.size() - n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t index = free_[base + i];
-      out[i] = Ref{index, gens_[index]};
-    }
-    free_.resize(base);
-  }
-
-  // Returns n bulk-reserved slots in one splice; every ref dies here (the
-  // generation bump invalidates copies).
-  void free_n(const Ref* refs, std::size_t n) {
-    const std::size_t base = free_.size();
-    free_.resize(base + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      TCPPR_DCHECK(current(refs[i]));
-      bump_generation(refs[i].index);
-      free_[base + i] = refs[i].index;
-    }
-  }
-
-  // True while the ref's slot has not been recycled since it was reserved.
-  bool current(Ref r) const {
-    return r.index < gens_.size() && gens_[r.index] == r.generation;
-  }
-
-  // Moves src into a bulk-reserved slot and binds it to a PooledPacket,
-  // which releases the slot on destruction exactly like make().
-  PooledPacket adopt(Ref r, Packet&& src) {
-    TCPPR_DCHECK(current(r));
-    Packet* pkt = storage_[r.index].get();
-    *pkt = std::move(src);
-    return PooledPacket{pkt, PacketReturner{shared_from_this(), r.index}};
-  }
-
-  void release(std::uint32_t index) {
-    bump_generation(index);
-    free_.push_back(index);
-  }
+  void release(std::uint32_t index) { free_.push_back(index); }
 
   std::size_t allocated() const { return storage_.size(); }
   std::size_t idle() const { return free_.size(); }
@@ -132,7 +72,6 @@ class PacketPool : public std::enable_shared_from_this<PacketPool> {
   std::uint32_t acquire() {
     if (free_.empty()) {
       storage_.push_back(std::make_unique<Packet>());
-      gens_.push_back(1);
       return static_cast<std::uint32_t>(storage_.size() - 1);
     }
     const std::uint32_t index = free_.back();
@@ -140,12 +79,7 @@ class PacketPool : public std::enable_shared_from_this<PacketPool> {
     return index;
   }
 
-  void bump_generation(std::uint32_t index) {
-    if (++gens_[index] == 0) gens_[index] = 1;
-  }
-
   std::vector<std::unique_ptr<Packet>> storage_;
-  std::vector<std::uint32_t> gens_;  // parallel to storage_
   std::vector<std::uint32_t> free_;  // slot indices, LIFO
 };
 

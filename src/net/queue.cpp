@@ -71,18 +71,6 @@ std::size_t DropTailQueue::enqueue_batch(PacketBatch& batch, std::size_t begin,
   return accepted;
 }
 
-std::size_t DropTailQueue::dequeue_batch(std::size_t max_n, PacketBatch& out) {
-  const std::size_t moved = max_n < q_.size() ? max_n : q_.size();
-  for (std::size_t i = 0; i < moved; ++i) {
-    Packet pkt = q_.pop_front();
-    bytes_ -= pkt.size_bytes;
-    stats_.bytes_dequeued += pkt.size_bytes;
-    out.push(std::move(pkt));
-  }
-  stats_.dequeued += moved;
-  return moved;
-}
-
 PriorityQueue::PriorityQueue(int bands, std::size_t limit_per_band,
                              Classifier classifier)
     : limit_per_band_(limit_per_band),

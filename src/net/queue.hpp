@@ -53,14 +53,12 @@ class Queue {
     return true;
   }
 
-  // Batched variants for burst admission/service. Per-packet admission
-  // decisions and stats are identical to calling enqueue()/dequeue() in a
-  // loop — the default does exactly that — so disciplines whose decisions
-  // are per-packet by nature (RED's drop lottery, Priority's classifier)
-  // inherit it unchanged, while DropTail hoists its limit checks out of
-  // the loop. enqueue_batch consumes entries [begin, end) of the batch and
-  // returns how many were accepted; dequeue_batch appends up to max_n
-  // packets to out and returns how many it moved.
+  // Burst admission: consumes entries [begin, end) of the batch and
+  // returns how many were accepted. Per-packet decisions and stats are
+  // identical to calling enqueue() in a loop — the default does exactly
+  // that — so disciplines whose decisions are per-packet by nature (RED's
+  // drop lottery, Priority's classifier) inherit it unchanged, while
+  // DropTail hoists its limit check out of the loop.
   virtual std::size_t enqueue_batch(PacketBatch& batch, std::size_t begin,
                                     std::size_t end) {
     std::size_t accepted = 0;
@@ -68,16 +66,6 @@ class Queue {
       if (enqueue(std::move(batch[i]))) ++accepted;
     }
     return accepted;
-  }
-  virtual std::size_t dequeue_batch(std::size_t max_n, PacketBatch& out) {
-    std::size_t moved = 0;
-    while (moved < max_n) {
-      auto pkt = dequeue();
-      if (!pkt) break;
-      out.push(std::move(*pkt));
-      ++moved;
-    }
-    return moved;
   }
   virtual std::size_t length_packets() const = 0;
   virtual std::uint64_t length_bytes() const = 0;
@@ -109,7 +97,6 @@ class DropTailQueue final : public Queue {
   bool dequeue_into(Packet& out) override;
   std::size_t enqueue_batch(PacketBatch& batch, std::size_t begin,
                             std::size_t end) override;
-  std::size_t dequeue_batch(std::size_t max_n, PacketBatch& out) override;
   std::size_t length_packets() const override { return q_.size(); }
   std::uint64_t length_bytes() const override { return bytes_; }
   std::size_t limit_packets() const { return limit_; }

@@ -40,29 +40,6 @@ void Receiver::deliver(net::Packet&& pkt) {
   on_data(pkt);
 }
 
-void Receiver::deliver_batch(net::PacketBatch& batch, std::size_t begin,
-                             std::size_t end) {
-  // Delayed ACKs interleave timer arms with the originations, so the
-  // train would reorder scheduler mints; keep the per-packet path.
-  if (config_.delayed_ack) {
-    for (std::size_t i = begin; i < end; ++i) deliver(std::move(batch[i]));
-    return;
-  }
-  TCPPR_DCHECK(!train_active_);
-  train_active_ = true;
-  for (std::size_t i = begin; i < end; ++i) deliver(std::move(batch[i]));
-  train_active_ = false;
-  if (train_.empty()) return;
-  if (train_.size() == 1) {
-    net::Packet ack = std::move(train_[0]);
-    train_.clear();
-    network_.node(local_).originate(std::move(ack));
-    return;
-  }
-  net::PacketBatch train = std::move(train_);
-  network_.node(local_).originate_burst(std::move(train));
-}
-
 void Receiver::record_sack_block(SeqNo begin, SeqNo end) {
   // Extend/merge with existing blocks, then move to the front (RFC 2018
   // wants the block containing the most recently received segment first).
@@ -197,10 +174,6 @@ void Receiver::emit_ack(net::Packet&& ack) {
   ++stats_.acks_sent;
   ack.sent_at = sched().now();
   if (ack_tap_) ack_tap_(ack);
-  if (train_active_) {  // deliver_batch flushes the train as one burst
-    train_.push(std::move(ack));
-    return;
-  }
   network_.node(local_).originate(std::move(ack));
 }
 

@@ -259,30 +259,6 @@ void FlowServer::deliver(net::Packet&& pkt) {
   rx_[uslot]->deliver(std::move(pkt));
 }
 
-void FlowServer::deliver_batch(net::PacketBatch& batch, std::size_t begin,
-                               std::size_t end) {
-  // The node groups a run by flow, so one lookup covers the run; the
-  // receiver's own batched path then folds the ACK train.
-  const std::int32_t slot = slot_of(batch[begin].tcp.flow);
-  if (slot < 0) {
-    stray_ += end - begin;
-    return;
-  }
-  const auto uslot = static_cast<std::uint32_t>(slot);
-  if (uslot >= rx_.size() || rx_[uslot] == nullptr) {
-    if (batch[begin].type != net::PacketType::kTcpData) {
-      // Skip leading non-data (stale close/ACK); re-enter per-packet so a
-      // data segment later in the run still opens the slot.
-      for (std::size_t i = begin; i < end; ++i) deliver(std::move(batch[i]));
-      return;
-    }
-    open_slot(uslot, batch[begin].tcp.seq);
-  } else {
-    touch(uslot);
-  }
-  rx_[uslot]->deliver_batch(batch, begin, end);
-}
-
 void FlowServer::fold_reorder_stats(stats::ReorderMonitor& into) const {
   departed_agg_.merge_into(into);
   for (const auto& m : mon_) {

@@ -1,5 +1,5 @@
 // Batch equivalence: the batched hot path (link-pump carrier events,
-// batched queue ops, ACK trains, send-bursts) must be an engine-level
+// batched queue admission, send-bursts) must be an engine-level
 // optimization only — the delivery stream it produces has to be
 // byte-identical to the unbatched engine's. The DeliveryHasher digest
 // over (time, flow, endpoints, seq, size, is_ack) is the witness.

@@ -24,16 +24,25 @@
 // linkage; the counter itself stays internal.
 static std::atomic<std::uint64_t> g_heap_allocations{0};
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: once gcc inlines one side of a
+// new/delete pair it sees malloc paired with operator delete, or operator
+// new with free, and reports -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tcppr::obs {
 namespace {

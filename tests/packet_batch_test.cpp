@@ -1,9 +1,10 @@
 // Unit tests for the batched hot-path building blocks: the PacketBatch
-// carrier, the PacketPool bulk alloc/free API (generation-tag safety
-// across bulk cycles), the queue batch operations, and the link-level
-// op-order invariant on jittered lossy links (the loss lottery runs at
-// transmission completion, strictly after that hop's next-transmission
-// mint — regression for the stamped schedule-op ordering).
+// burst carrier, single-slot PacketPool recycling, the queue burst
+// admission, and the link-level op-order invariant on jittered lossy
+// links (the loss lottery runs at transmission completion, strictly after
+// that hop's next-transmission mint — regression for the stamped
+// schedule-op ordering), including back-to-back deliveries that land on
+// one instant.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,18 +31,17 @@ Packet make_packet(NodeId dst, std::uint32_t bytes, FlowId flow = 1) {
   return pkt;
 }
 
-TEST(PacketBatch, PushIndexAndSeq) {
+TEST(PacketBatch, PushAndIndex) {
   PacketBatch batch;
   EXPECT_TRUE(batch.empty());
   for (int i = 0; i < 3; ++i) {
     Packet pkt = make_packet(0, 100);
     pkt.tcp.seq = i;
-    batch.push(std::move(pkt), static_cast<std::uint64_t>(1000 + i));
+    batch.push(std::move(pkt));
   }
   ASSERT_EQ(batch.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(batch[i].tcp.seq, static_cast<SeqNo>(i));
-    EXPECT_EQ(batch.seq(i), 1000 + i);
   }
 }
 
@@ -51,7 +51,7 @@ TEST(PacketBatch, GrowsPastInlineCapacityAndMoves) {
   for (std::size_t i = 0; i < n; ++i) {
     Packet pkt = make_packet(0, 100);
     pkt.tcp.seq = static_cast<SeqNo>(i);
-    batch.push(std::move(pkt), i);
+    batch.push(std::move(pkt));
   }
   ASSERT_EQ(batch.size(), n);
   // Move (heap case) and verify contents survive.
@@ -60,71 +60,38 @@ TEST(PacketBatch, GrowsPastInlineCapacityAndMoves) {
   ASSERT_EQ(moved.size(), n);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(moved[i].tcp.seq, static_cast<SeqNo>(i));
-    EXPECT_EQ(moved.seq(i), i);
   }
   // Move the inline case too.
   PacketBatch small;
-  small.push(make_packet(2, 40), 7);
+  small.push(make_packet(2, 40));
   PacketBatch small_moved = std::move(small);
   EXPECT_EQ(small.size(), 0u);
   ASSERT_EQ(small_moved.size(), 1u);
   EXPECT_EQ(small_moved[0].dst, 2);
-  EXPECT_EQ(small_moved.seq(0), 7u);
   // And pushing into the moved-from batch works again.
   small.push(make_packet(3, 50));
   EXPECT_EQ(small.size(), 1u);
 }
 
-TEST(PacketPool, BulkAllocFreeRecyclesSlots) {
+TEST(PacketPool, SingleSlotReleaseRecyclesSlots) {
   auto pool = PacketPool::create();
-  PacketPool::Ref refs[16];
-  pool->alloc_n(16, refs);
-  EXPECT_EQ(pool->allocated(), 16u);
-  EXPECT_EQ(pool->idle(), 0u);
-  for (const auto& r : refs) EXPECT_TRUE(pool->current(r));
-  pool->free_n(refs, 16);
-  EXPECT_EQ(pool->idle(), 16u);
-  // A second cycle reuses the same slots, no new storage.
-  PacketPool::Ref again[16];
-  pool->alloc_n(16, again);
-  EXPECT_EQ(pool->allocated(), 16u);
-  pool->free_n(again, 16);
-}
-
-TEST(PacketPool, GenerationTagsInvalidateStaleRefsAcrossBulkCycles) {
-  auto pool = PacketPool::create();
-  PacketPool::Ref first[4];
-  pool->alloc_n(4, first);
-  pool->free_n(first, 4);
-  // The slots were recycled: the old refs must now read as stale, and the
-  // fresh refs for the same physical slots as current.
-  PacketPool::Ref second[4];
-  pool->alloc_n(4, second);
-  for (const auto& r : first) EXPECT_FALSE(pool->current(r));
-  for (const auto& r : second) EXPECT_TRUE(pool->current(r));
-  // adopt() binds a bulk slot to a PooledPacket whose destruction releases
-  // it — bumping the generation exactly like free_n.
-  const PacketPool::Ref kept = second[0];
+  Packet* first = nullptr;
   {
-    PooledPacket p = pool->adopt(second[0], make_packet(1, 100));
-    EXPECT_EQ(p->dst, 1);
+    PooledPacket a = pool->make(make_packet(1, 100));
+    PooledPacket b = pool->checkout();
+    EXPECT_NE(a.get(), b.get());
+    EXPECT_EQ(a->dst, 1);
+    first = a.get();
+    EXPECT_EQ(pool->allocated(), 2u);
+    EXPECT_EQ(pool->idle(), 0u);
   }
-  EXPECT_FALSE(pool->current(kept));
-  pool->free_n(second + 1, 3);
-}
-
-TEST(PacketPool, MixedSingleAndBulkCyclesStaySafe) {
-  auto pool = PacketPool::create();
-  PooledPacket single = pool->make(make_packet(1, 100));
-  PacketPool::Ref refs[8];
-  pool->alloc_n(8, refs);
-  // The single allocation's slot must not be handed out by the bulk API.
-  std::vector<PooledPacket> adopted;
-  for (auto& r : refs) adopted.push_back(pool->adopt(r, make_packet(2, 50)));
-  for (auto& p : adopted) EXPECT_NE(p.get(), single.get());
-  adopted.clear();
-  for (const auto& r : refs) EXPECT_FALSE(pool->current(r));
-  EXPECT_EQ(*&single->dst, 1);
+  // Both slots came back; the next checkouts reuse them, no new storage.
+  EXPECT_EQ(pool->idle(), 2u);
+  PooledPacket c = pool->make(make_packet(2, 50));
+  PooledPacket d = pool->checkout();
+  EXPECT_EQ(pool->allocated(), 2u);
+  EXPECT_TRUE(c.get() == first || d.get() == first);
+  EXPECT_EQ(c->dst, 2);
 }
 
 TEST(DropTailQueue, BatchEnqueueAcceptsPrefixDropsOverflow) {
@@ -146,26 +113,6 @@ TEST(DropTailQueue, BatchEnqueueAcceptsPrefixDropsOverflow) {
     ASSERT_TRUE(pkt.has_value());
     EXPECT_EQ(pkt->tcp.seq, i);
   }
-}
-
-TEST(DropTailQueue, BatchDequeueDrainsInOrder) {
-  DropTailQueue q(10);
-  for (int i = 0; i < 6; ++i) {
-    Packet pkt = make_packet(0, 100 + i);
-    pkt.tcp.seq = i;
-    ASSERT_TRUE(q.enqueue(std::move(pkt)));
-  }
-  PacketBatch out;
-  EXPECT_EQ(q.dequeue_batch(4, out), 4u);
-  ASSERT_EQ(out.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(out[i].tcp.seq, static_cast<SeqNo>(i));
-  }
-  EXPECT_EQ(q.length_packets(), 2u);
-  // Asking for more than remains returns what's there.
-  PacketBatch rest;
-  EXPECT_EQ(q.dequeue_batch(10, rest), 2u);
-  EXPECT_EQ(q.stats().dequeued, 6u);
 }
 
 TEST(DropTailQueue, ByteCappedBatchEnqueueMatchesPerPacket) {
@@ -208,13 +155,25 @@ TEST(RedQueue, BatchEnqueueKeepsPerPacketLottery) {
 
 // --- Link op-order regression (jitter + loss lottery) -----------------
 
+// One arrival at the far node: (seq, hops, delivery time in ns).
+struct Arrival {
+  SeqNo seq;
+  int hops;
+  std::int64_t at_ns;
+  bool operator==(const Arrival&) const = default;
+};
+
 // Collects the exact arrival sequence at the far node.
 class RecordingAgent final : public Agent {
  public:
+  explicit RecordingAgent(const sim::Scheduler& sched) : sched_(sched) {}
   void deliver(Packet&& pkt) override {
-    arrivals.push_back({pkt.tcp.seq, pkt.hops});
+    arrivals.push_back({pkt.tcp.seq, pkt.hops, sched_.now().as_nanos()});
   }
-  std::vector<std::pair<SeqNo, int>> arrivals;
+  std::vector<Arrival> arrivals;
+
+ private:
+  const sim::Scheduler& sched_;
 };
 
 // One jittered, lossy link driven to saturation. The invariant under
@@ -226,7 +185,13 @@ class RecordingAgent final : public Agent {
 // Link::complete_packet asserts the delivery mint lands after the
 // stamped next-tx op. Equal arrival sequences batched vs unbatched are
 // the observable witness.
-std::vector<std::pair<SeqNo, int>> run_jittered_lossy(bool batching) {
+//
+// With zero_tx_time the link is fast enough that a 40-byte packet's
+// transmission time truncates to 0 ns and the jitter spans only 3 ns, so
+// the whole burst leaves at t = 0 and lands on a few shared instants:
+// back-to-back deliveries that the pump executes one op at a time.
+std::vector<Arrival> run_jittered_lossy(bool batching,
+                                        bool zero_tx_time = false) {
   sim::Scheduler sched;
   sched.enable_seq_stamping();
   Network network(sched);
@@ -234,24 +199,33 @@ std::vector<std::pair<SeqNo, int>> run_jittered_lossy(bool batching) {
   const NodeId a = network.add_node();
   const NodeId b = network.add_node();
   LinkConfig cfg;
-  cfg.bandwidth_bps = 8e6;
+  cfg.bandwidth_bps = zero_tx_time ? 1e12 : 8e6;
   cfg.delay = sim::Duration::millis(5);
   cfg.queue_limit_packets = 1000;
   Link& ab = network.add_link(a, b, cfg);
   network.compute_static_routes();
   ab.set_loss_model(0.2, sim::Rng(42));
-  ab.set_jitter(sim::Duration::millis(8), sim::Rng(43));
+  ab.set_jitter(zero_tx_time ? sim::Duration::nanos(3)
+                             : sim::Duration::millis(8),
+                sim::Rng(43));
 
-  RecordingAgent agent;
+  RecordingAgent agent(sched);
   network.node(b).attach_agent(/*flow=*/1, &agent);
   for (int i = 0; i < 400; ++i) {
-    Packet pkt = make_packet(b, 500);
+    Packet pkt = make_packet(b, zero_tx_time ? 40 : 500);
     pkt.tcp.seq = i;
     network.node(a).originate(std::move(pkt));
   }
   sched.run();
   network.node(b).detach_agent(1);
   return agent.arrivals;
+}
+
+bool has_reordering(const std::vector<Arrival>& arrivals) {
+  for (std::size_t i = 1; i < arrivals.size(); ++i) {
+    if (arrivals[i].seq < arrivals[i - 1].seq) return true;
+  }
+  return false;
 }
 
 TEST(LinkOpOrder, JitteredLossyDeliverySequenceMatchesUnbatched) {
@@ -262,11 +236,19 @@ TEST(LinkOpOrder, JitteredLossyDeliverySequenceMatchesUnbatched) {
   // exactly.
   ASSERT_FALSE(unbatched.empty());
   EXPECT_LT(unbatched.size(), 400u);
-  bool reordered = false;
-  for (std::size_t i = 1; i < unbatched.size(); ++i) {
-    if (unbatched[i].first < unbatched[i - 1].first) reordered = true;
-  }
-  EXPECT_TRUE(reordered);
+  EXPECT_TRUE(has_reordering(unbatched));
+  EXPECT_EQ(batched, unbatched);
+}
+
+TEST(LinkOpOrder, SameInstantDeliverySequenceMatchesUnbatched) {
+  const auto unbatched = run_jittered_lossy(false, /*zero_tx_time=*/true);
+  const auto batched = run_jittered_lossy(true, /*zero_tx_time=*/true);
+  ASSERT_FALSE(unbatched.empty());
+  EXPECT_LT(unbatched.size(), 400u);
+  EXPECT_TRUE(has_reordering(unbatched));
+  // Hundreds of arrivals on at most three instants (5 ms + 0..2 ns).
+  EXPECT_EQ(unbatched.front().at_ns, sim::Duration::millis(5).as_nanos());
+  EXPECT_LE(unbatched.back().at_ns - unbatched.front().at_ns, 2);
   EXPECT_EQ(batched, unbatched);
 }
 

@@ -103,7 +103,9 @@ TEST(ReorderTapGolden, IstrateAlmostSorted) {
   const auto& hist = tap.displacement_histogram();
   EXPECT_EQ(hist[1], 4u);
   for (std::size_t b = 0; b < ReorderTap::kHistBuckets; ++b) {
-    if (b != 1) EXPECT_EQ(hist[b], 0u) << "bucket " << b;
+    if (b != 1) {
+      EXPECT_EQ(hist[b], 0u) << "bucket " << b;
+    }
   }
 }
 

@@ -28,6 +28,7 @@
 #include "harness/parallel_run.hpp"
 #include "obs/registry.hpp"
 #include "obs/series.hpp"
+#include "sim/scheduler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/trace.hpp"
 #include "validate/fuzzer.hpp"
@@ -84,6 +85,12 @@ constexpr const char* kTopologies[] = {
 // every timer derived from them stay far inside that range.
 constexpr double kMaxSeconds = 1e6;
 
+// Last instant a --par run may reach: parallel mode stamps every event
+// with its schedule instant plus one in kStampTimeBits bits of
+// nanoseconds (sim/scheduler.hpp), about 1099.5 s.
+constexpr std::int64_t kMaxParNanos =
+    (std::int64_t{1} << sim::Scheduler::kStampTimeBits) - 2;
+
 void usage() {
   std::printf(
       "tcppr_sim — run one simulation scenario\n\n"
@@ -137,13 +144,18 @@ void usage() {
       "                        the perf-comparison baseline). Also applies\n"
       "                        to --fuzz-seed replays\n"
       "  --par <n>             run on n parallel scheduler shards (LPs);\n"
-      "                        byte-identical to the sequential run. Also\n"
-      "                        applies to --fuzz and --fuzz-seed runs\n"
+      "                        output is identical for every n, and matches\n"
+      "                        the default run except for the order of\n"
+      "                        same-instant ties on tie-heavy plants\n"
+      "                        (DESIGN.md 4.5). --duration is capped at\n"
+      "                        %.1f s. Also applies to --fuzz and\n"
+      "                        --fuzz-seed runs\n"
       "  --fuzz <n>            fuzz campaign over seeds [--seed, --seed+n)\n"
       "  --fuzz-seed <n>       replay one fuzz case under the checker\n"
       "  --fuzz-artifacts <dir>  write per-seed reproducer files for\n"
       "                        failing fuzz seeds into <dir>\n"
-      "  --jobs <j>            fuzz campaign worker threads (default 1)\n");
+      "  --jobs <j>            fuzz campaign worker threads (default 1)\n",
+      static_cast<double>(kMaxParNanos) * 1e-9);
 }
 
 // A malformed value is a usage error: message on stderr, exit 2. Never an
@@ -323,6 +335,16 @@ bool parse(int argc, char** argv, Args& args) {
     std::fprintf(stderr, "tcppr_sim: --expect-concurrent needs a --workload "
                  "overlay (try --help)\n");
     std::exit(2);
+  }
+  if (args.par > 0 &&
+      sim::TimePoint::from_seconds(args.duration_s).as_nanos() >
+          kMaxParNanos) {
+    char value[32];
+    char expected[64];
+    std::snprintf(value, sizeof value, "%g", args.duration_s);
+    std::snprintf(expected, sizeof expected, "seconds in (0, %.1f] with --par",
+                  static_cast<double>(kMaxParNanos) * 1e-9);
+    usage_error("--duration", value, expected);
   }
   args.measured_s = std::min(args.measured_s, args.duration_s);
   return true;
@@ -545,7 +567,7 @@ int main(int argc, char** argv) {
               100.0 * result.loss_rate,
               static_cast<unsigned long long>(result.events));
   // Engine aggregates: events per delivered packet (the batched hot path
-  // drives this below 1) plus the delivery-run length histogram.
+  // drives this below 1) and the pump's ops per carrier event.
   const auto snap = scenario->network.conservation();
   const double epp =
       snap.delivered_to_agent > 0
@@ -555,13 +577,10 @@ int main(int argc, char** argv) {
   std::printf("engine: %s, %.3f events/packet",
               args.no_batch ? "unbatched" : "batched", epp);
   net::LinkPump::Stats pump_stats{};
-  net::LinkPump::RunHistogram hist{};
   if (psim) {
     pump_stats = psim->pump_stats();
-    hist = psim->pump_histogram();
   } else if (scenario->network.pump() != nullptr) {
     pump_stats = scenario->network.pump()->stats();
-    hist = scenario->network.pump()->aggregate_histogram();
   }
   if (pump_stats.events > 0) {
     std::printf(", %llu pump ops in %llu carrier events (%.2f ops/event)",
@@ -571,16 +590,6 @@ int main(int argc, char** argv) {
                     static_cast<double>(pump_stats.events));
   }
   std::printf("\n");
-  if (pump_stats.delivery_runs > 0) {
-    std::printf("delivery runs: mean %.2f, len histogram [",
-                static_cast<double>(pump_stats.delivered_in_runs) /
-                    static_cast<double>(pump_stats.delivery_runs));
-    for (std::size_t i = 0; i < hist.size(); ++i) {
-      std::printf("%s%llu", i == 0 ? "" : " ",
-                  static_cast<unsigned long long>(hist[i]));
-    }
-    std::printf("] (log2 buckets: 1, 2-3, 4-7, ..., >=128)\n");
-  }
   if (engine) {
     const auto ws = engine->stats();
     std::printf(
