@@ -1,10 +1,10 @@
 // Unit tests for the batched hot-path building blocks: the PacketBatch
-// burst carrier, single-slot PacketPool recycling, the queue burst
-// admission, and the link-level op-order invariant on jittered lossy
-// links (the loss lottery runs at transmission completion, strictly after
-// that hop's next-transmission mint — regression for the stamped
-// schedule-op ordering), including back-to-back deliveries that land on
-// one instant.
+// burst carrier, single-slot PacketPool recycling and lifetime, the queue
+// burst admission and FIFO service, and the link-level op-order invariant
+// on jittered lossy links (the loss lottery runs at transmission
+// completion, strictly after that hop's next-transmission mint —
+// regression for the stamped schedule-op ordering), including
+// back-to-back deliveries that land on one instant.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -94,6 +94,25 @@ TEST(PacketPool, SingleSlotReleaseRecyclesSlots) {
   EXPECT_EQ(c->dst, 2);
 }
 
+TEST(PacketPool, PooledPacketOutlivesItsPoolHandle) {
+  // A PooledPacket's deleter shares ownership of the pool, so a packet
+  // still held after the last outside handle drops (a pending callback
+  // outliving its network) stays readable and releases into live memory.
+  std::weak_ptr<PacketPool> weak;
+  {
+    PooledPacket held;
+    {
+      auto pool = PacketPool::create();
+      weak = pool;
+      held = pool->make(make_packet(4, 60));
+    }
+    EXPECT_FALSE(weak.expired());
+    EXPECT_EQ(held->dst, 4);
+    EXPECT_EQ(held->size_bytes, 60u);
+  }
+  EXPECT_TRUE(weak.expired());
+}
+
 TEST(DropTailQueue, BatchEnqueueAcceptsPrefixDropsOverflow) {
   DropTailQueue q(5);
   PacketBatch batch;
@@ -113,6 +132,43 @@ TEST(DropTailQueue, BatchEnqueueAcceptsPrefixDropsOverflow) {
     ASSERT_TRUE(pkt.has_value());
     EXPECT_EQ(pkt->tcp.seq, i);
   }
+}
+
+TEST(DropTailQueue, DequeueIntoDrainsInOrder) {
+  // The link's service path: each head is moved into a freshly checked-out
+  // pool slot whose stale contents dequeue_into must overwrite wholesale.
+  DropTailQueue q(10);
+  for (int i = 0; i < 6; ++i) {
+    Packet pkt = make_packet(0, 100 + i);
+    pkt.tcp.seq = i;
+    ASSERT_TRUE(q.enqueue(std::move(pkt)));
+  }
+  auto pool = PacketPool::create();
+  {
+    PooledPacket stale = pool->make(make_packet(9, 1500, /*flow=*/7));
+  }
+  for (int i = 0; i < 4; ++i) {
+    PooledPacket slot = pool->checkout();
+    ASSERT_TRUE(q.dequeue_into(*slot));
+    EXPECT_EQ(slot->tcp.seq, i);
+    EXPECT_EQ(slot->size_bytes, static_cast<std::uint32_t>(100 + i));
+    EXPECT_EQ(slot->dst, 0);
+    EXPECT_EQ(slot->tcp.flow, 1);
+  }
+  EXPECT_EQ(pool->allocated(), 1u);
+  EXPECT_EQ(q.length_packets(), 2u);
+  EXPECT_EQ(q.length_bytes(), 104u + 105u);
+  Packet out;
+  ASSERT_TRUE(q.dequeue_into(out));
+  EXPECT_EQ(out.tcp.seq, 4);
+  ASSERT_TRUE(q.dequeue_into(out));
+  EXPECT_EQ(out.tcp.seq, 5);
+  // An empty queue reports false and leaves the target as it was.
+  EXPECT_FALSE(q.dequeue_into(out));
+  EXPECT_EQ(out.tcp.seq, 5);
+  EXPECT_EQ(q.stats().dequeued, 6u);
+  EXPECT_EQ(q.stats().bytes_dequeued, 100u + 101u + 102u + 103u + 104u + 105u);
+  EXPECT_EQ(q.length_bytes(), 0u);
 }
 
 TEST(DropTailQueue, ByteCappedBatchEnqueueMatchesPerPacket) {
