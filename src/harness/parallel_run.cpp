@@ -126,26 +126,28 @@ void ParallelSim::wire_partition() {
                     shards_[static_cast<std::size_t>(lp)]);
   }
   // A link's queue/transmit/propagation events all run on its *source*
-  // LP; only the final delivery may cross (mailbox + injected ring armed
-  // on the destination shard, with the destination LP's pool).
+  // LP; only the final delivery may cross: a cut link's delivery side
+  // (ring, pump, scheduler) moves to the destination LP.
+  const auto pump_of = [this](int lp) {
+    return pumps_.empty() ? nullptr
+                          : pumps_[static_cast<std::size_t>(lp)].get();
+  };
   for (const auto& link : nw.links()) {
     const int lp = lp_of(link->from());
-    const int dst = lp_of(link->to());
     link->set_scheduler(*shards_[static_cast<std::size_t>(lp)]);
     link->set_packet_pool(pools_[static_cast<std::size_t>(lp)]);
     link->set_tracer(lp_tracers_[static_cast<std::size_t>(lp)].get());
-    link->set_injection_scheduler(shards_[static_cast<std::size_t>(dst)],
-                                  pools_[static_cast<std::size_t>(dst)]);
-    if (!pumps_.empty()) {
-      link->set_pump(pumps_[static_cast<std::size_t>(lp)].get());
-    }
+    link->set_pump(pump_of(lp));
   }
   for (net::Link* cut : partition_.cut_links()) {
     mailboxes_.emplace_back();
     Mailbox& mb = mailboxes_.back();
     mb.link = cut;
     mb.src_lp = lp_of(cut->from());
+    mb.dst_lp = lp_of(cut->to());
     cut->set_remote_channel(&mb.channel);
+    cut->set_delivery_side(*shards_[static_cast<std::size_t>(mb.dst_lp)],
+                           pump_of(mb.dst_lp));
     cut_edges_.push_back(
         sim::ParallelEngine::CutEdge{mb.src_lp, cut->prop_delay()});
   }
@@ -182,9 +184,6 @@ std::uint64_t ParallelSim::external_in_flight() const {
   std::uint64_t total = 0;
   for (const Mailbox& mb : mailboxes_) {
     total += mb.channel.pushed - mb.channel.executed;
-  }
-  for (const auto& link : scenario_.network.links()) {
-    total += link->injected_pending();
   }
   return total;
 }
@@ -242,23 +241,24 @@ void ParallelSim::run_until(sim::TimePoint end) {
 }
 
 std::uint64_t ParallelSim::exchange() {
-  std::uint64_t injected = 0;
+  std::uint64_t drained = 0;
   // Deterministic drain order (mailbox creation order, push order within
   // one mailbox); final ordering comes from the stamps, not this loop.
   for (Mailbox& mb : mailboxes_) {
     auto& buf = mb.channel.buf;
     if (buf.empty()) continue;
+    net::PacketPool& pool = *pools_[static_cast<std::size_t>(mb.dst_lp)];
     for (net::CrossLinkMsg& msg : buf) {
-      // The ring entry arms one event on the destination shard at the
-      // stamp minted on the source shard — exactly the op position the
-      // sequential delivery-schedule call occupies.
-      mb.link->queue_injected(msg.at, msg.stamp, std::move(msg.pkt));
-      ++mb.channel.executed;
-      ++injected;
+      // Scheduled on the destination side at the stamp minted on the
+      // source shard — exactly the op position the sequential
+      // delivery-schedule call occupies.
+      mb.link->schedule_delivery(msg.at, msg.stamp,
+                                 pool.make(std::move(msg.pkt)));
     }
+    drained += buf.size();
     buf.clear();
   }
-  return injected;
+  return drained;
 }
 
 void ParallelSim::at_barrier(sim::TimePoint h) {

@@ -14,7 +14,10 @@
 //      LP (pools are not thread-safe; packets never share a pool across
 //      shards).
 //   3. Re-point every node, link, sender and receiver at its LP's shard,
-//      pool and buffering tracer; cut links get a mailbox channel.
+//      pool and buffering tracer. Cut links get a mailbox channel, and
+//      their delivery side moves to the destination LP: the delivery
+//      ring's kDeliver ops ride that LP's pump (unbatched: one event per
+//      delivery on that LP's shard).
 //   4. Adopt the scenario's build-time events (flow starts, fault
 //      injections — Scenario::deferred): cancel on the build scheduler,
 //      re-schedule into the owning shard. Afterwards the build scheduler
@@ -24,11 +27,11 @@
 //      misuse instead of silently diverging.
 //
 // During the run the exchange hook drains each mailbox — in deterministic
-// order — into the destination link's injected-arrivals ring, which arms
-// one event per entry on the destination shard at the stamp minted on the
-// source shard (exactly the op position the sequential delivery-schedule
-// call occupies). Buffered trace records merge in (time, stamp, emission)
-// order into the scenario's real tracer at every barrier.
+// order — into the link's delivery side, packets re-homed in the
+// destination LP's pool, each keyed by the stamp minted on the source
+// shard (exactly the op position the sequential delivery-schedule call
+// occupies). Buffered trace records merge in (time, stamp, emission) order
+// into the scenario's real tracer at every barrier.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +92,8 @@ class ParallelSim {
   // conservation balances while packets ride the mailboxes and rings.
   void set_checker(validate::InvariantChecker* checker);
 
-  // Cross-shard packets pushed but whose delivery has not yet executed:
-  // mailbox residency plus injected-ring residency.
+  // Cross-shard packets pushed but whose delivery has not yet executed
+  // (riding a mailbox or pending on the destination side).
   std::uint64_t external_in_flight() const;
   std::uint64_t windows() const { return windows_; }
   std::uint64_t exchanged() const { return exchanged_; }
@@ -146,6 +149,7 @@ class ParallelSim {
     net::CrossLinkChannel channel;
     net::Link* link = nullptr;
     int src_lp = 0;
+    int dst_lp = 0;
   };
 
   std::uint64_t exchange();

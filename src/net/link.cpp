@@ -19,7 +19,8 @@ Link::Link(sim::Scheduler& sched, NodeId from, NodeId to, double bandwidth_bps,
       prop_delay_(prop_delay),
       queue_(std::move(queue)),
       loss_rng_(0),
-      jitter_rng_(0) {
+      jitter_rng_(0),
+      delivery_{&sched} {
   TCPPR_CHECK(bandwidth_bps_ > 0);
   TCPPR_CHECK(prop_delay_ >= sim::Duration::zero());
   TCPPR_CHECK(queue_ != nullptr);
@@ -29,7 +30,14 @@ Link::Link(sim::Scheduler& sched, NodeId from, NodeId to, double bandwidth_bps,
 void Link::set_scheduler(sim::Scheduler& sched) {
   TCPPR_CHECK(!busy_ && in_transit_ == 0);
   sched_ = &sched;
+  delivery_.sched = &sched;
   queue_->set_time_source(sched_, bandwidth_bps_);
+}
+
+void Link::set_delivery_side(sim::Scheduler& sched, LinkPump* pump) {
+  TCPPR_CHECK(ring_.empty());
+  TCPPR_CHECK(pump == nullptr || &pump->scheduler() == &sched);
+  delivery_ = DeliverySide{&sched, pump, pump ? pump->add_link(this) : 0};
 }
 
 void Link::set_remote_channel(CrossLinkChannel* channel) {
@@ -68,10 +76,12 @@ void Link::set_pump(LinkPump* pump) {
   TCPPR_CHECK(pump == nullptr || &pump->scheduler() == sched_);
   pump_ = pump;
   if (pump_ != nullptr) pump_id_ = pump_->add_link(this);
+  delivery_ = DeliverySide{sched_, pump_, pump_id_};
 }
 
 void Link::detach_pump() {
   pump_ = nullptr;
+  delivery_.pump = nullptr;
   tx_pending_ = false;
   tx_pkt_.reset();
   ring_.clear();
@@ -190,9 +200,9 @@ void Link::complete_packet(PooledPacket pkt) {
     // bookkeeping happens now (delivery is certain once the loss lottery
     // above passed), the packet rides the mailbox, and the stamp minted
     // here occupies exactly the op position the delivery-schedule call
-    // below holds in the sequential run — so the injected event ties
-    // against local events the same way the sequential scheduler would
-    // have broken them.
+    // below holds in the sequential run — so the delivery, scheduled on
+    // the destination side at the barrier, ties against local ops the
+    // same way the sequential scheduler would have broken them.
     ++stats_.delivered;
     stats_.bytes_delivered += pkt->size_bytes;
     if (!skip_transit_decrement_) --in_transit_;
@@ -213,55 +223,33 @@ void Link::complete_packet(PooledPacket pkt) {
   // either way later mints sort later; assert it rather than assume it.
   TCPPR_DCHECK(!last_tx_mint_valid_ || last_tx_mint_.at != sched_->now() ||
                seq > last_tx_mint_.seq);
-  if (pump_ != nullptr) {
-    insert_delivery(at, seq, std::move(pkt));
-    return;
-  }
-  sched_->schedule_at_stamped(at, seq, [this, p = std::move(pkt)]() mutable {
-    deliver_one(std::move(p));
-  });
+  schedule_delivery(at, seq, std::move(pkt));
 }
 
 void Link::deliver_one(PooledPacket p) {
-  ++stats_.delivered;
-  stats_.bytes_delivered += p->size_bytes;
-  if (!skip_transit_decrement_) --in_transit_;
+  if (remote_ != nullptr) {
+    // Runs on the destination LP: the source LP owns stats_ and
+    // in_transit_, which it settled at push time.
+    ++remote_->executed;
+  } else {
+    ++stats_.delivered;
+    stats_.bytes_delivered += p->size_bytes;
+    if (!skip_transit_decrement_) --in_transit_;
+  }
   if (tap_ != nullptr) tap_->on_deliver(*p);
   TCPPR_DCHECK(dst_node_ != nullptr);
   dst_node_->receive(std::move(*p));
   // p's release into the pool recycles the packet for the next hop.
 }
 
-void Link::queue_injected(sim::TimePoint at, std::uint64_t seq,
-                          Packet&& pkt) {
-  injected_.push_back(InjectedEntry{at, seq, std::move(pkt)});
-  // Same sorted-merge discipline as insert_delivery: barrier drains push
-  // in mailbox order, delivery order comes from the (at, seq) keys.
-  std::size_t i = injected_.size() - 1;
-  while (i > 0 && (at < injected_[i - 1].at ||
-                   (at == injected_[i - 1].at && seq < injected_[i - 1].seq))) {
-    std::swap(injected_[i], injected_[i - 1]);
-    --i;
+void Link::schedule_delivery(sim::TimePoint at, std::uint64_t seq,
+                             PooledPacket pkt) {
+  if (delivery_.pump == nullptr) {
+    delivery_.sched->schedule_at_stamped(
+        at, seq,
+        [this, p = std::move(pkt)]() mutable { deliver_one(std::move(p)); });
+    return;
   }
-  // One event per entry, each at its own key: events fire in key order, so
-  // when this one fires its entry is exactly the ring head.
-  TCPPR_DCHECK(injection_sched_ != nullptr);
-  injection_sched_->schedule_at_stamped(at, seq, [this] { pop_injected(); });
-}
-
-void Link::pop_injected() {
-  TCPPR_DCHECK(!injected_.empty());
-  InjectedEntry e = injected_.pop_front();
-  TCPPR_DCHECK(injection_pool_ != nullptr);
-  PooledPacket p = injection_pool_->checkout();
-  *p = std::move(e.pkt);
-  if (tap_ != nullptr) tap_->on_deliver(*p);
-  TCPPR_DCHECK(dst_node_ != nullptr);
-  dst_node_->receive(std::move(*p));
-}
-
-void Link::insert_delivery(sim::TimePoint at, std::uint64_t seq,
-                           PooledPacket pkt) {
   ring_.push_back(DeliveryEntry{at, seq, std::move(pkt)});
   // Merge position: in-order deliveries (the common case — jitter-free
   // links mint nondecreasing keys) append in O(1); a jittered early
@@ -276,7 +264,8 @@ void Link::insert_delivery(sim::TimePoint at, std::uint64_t seq,
   if (i == 0) {
     // New head (first entry, or an early arrival that overtook the old
     // head — whose index entry in the pump goes stale).
-    pump_->push_op(PumpKey{at, seq}, pump_id_, PumpOp::kDeliver);
+    delivery_.pump->push_op(PumpKey{at, seq}, delivery_.pump_id,
+                            PumpOp::kDeliver);
   }
 }
 
@@ -285,8 +274,8 @@ void Link::pump_run_delivery() {
   DeliveryEntry head = ring_.pop_front();
   deliver_one(std::move(head.pkt));
   if (!ring_.empty()) {
-    pump_->push_op(PumpKey{ring_.front().at, ring_.front().seq}, pump_id_,
-                   PumpOp::kDeliver);
+    delivery_.pump->push_op(PumpKey{ring_.front().at, ring_.front().seq},
+                            delivery_.pump_id, PumpOp::kDeliver);
   }
 }
 

@@ -45,10 +45,11 @@ struct LinkStats {
 // Mailbox of one cut link in parallel mode: packets that finished their
 // loss lottery on the source shard and are travelling toward a node owned
 // by another shard. The source shard's thread appends during safe windows;
-// the coordinator drains at the barrier (the window/barrier phase
-// alternation is the synchronization — no locking). `stamp` is the
-// tie-break sequence minted on the source shard at push time, i.e. the
-// position the delivery-schedule op holds in the sequential run.
+// the coordinator drains at the barrier into the link's delivery side on
+// the destination shard (the window/barrier phase alternation is the
+// synchronization — no locking). `stamp` is the tie-break sequence minted
+// on the source shard at push time, i.e. the position the
+// delivery-schedule op holds in the sequential run.
 struct CrossLinkMsg {
   sim::TimePoint at;
   std::uint64_t stamp = 0;
@@ -57,7 +58,7 @@ struct CrossLinkMsg {
 struct CrossLinkChannel {
   std::vector<CrossLinkMsg> buf;   // written by the source shard's thread
   std::uint64_t pushed = 0;        // source-thread counter
-  std::uint64_t executed = 0;      // destination-thread counter
+  std::uint64_t executed = 0;      // deliveries run on the destination
 };
 
 class Link {
@@ -72,9 +73,9 @@ class Link {
   void set_destination(Node* node) { dst_node_ = node; }
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
   // Telemetry tap observing this link's delivery stream (one-branch-when-
-  // off, same discipline as the tracer). The tap is invoked from every
-  // delivery call site — unbatched, batched, and cross-shard injected — so
-  // it sees the full stream in delivery order regardless of engine mode.
+  // off, same discipline as the tracer). Every delivery — unbatched,
+  // pumped, local or cut-link — executes through deliver_one, so the tap
+  // sees the full stream in delivery order regardless of engine mode.
   void set_telemetry_tap(telemetry::ReorderTap* tap) { tap_ = tap; }
   // Shares the network-wide recycling pool for in-flight packets. A link
   // constructed standalone (tests) lazily creates its own.
@@ -98,6 +99,12 @@ class Link {
   // `channel` instead of being scheduled locally, and the current
   // propagation delay becomes the immutable lookahead floor.
   void set_remote_channel(CrossLinkChannel* channel);
+  // Binds where this link's deliveries execute: the scheduler their
+  // dedicated events go to and, when batched, the pump carrying them as
+  // kDeliver ops. set_scheduler/set_pump bind the link's own side; a cut
+  // link rebinds to the destination LP's shard and pump afterwards. Only
+  // legal while no delivery is pending.
+  void set_delivery_side(sim::Scheduler& sched, LinkPump* pump);
   sim::Scheduler& scheduler() { return *sched_; }
   // Changes the drain rate for future transmissions (mid-run capacity
   // change; the fuzzer uses this to model route/handover bandwidth shifts).
@@ -117,25 +124,6 @@ class Link {
   // (mobility / outage models).
   void set_down(bool down) { down_ = down; }
   bool is_down() const { return down_; }
-
-  // --- Injected-arrivals ring (parallel mode cut links) ------------------
-  // Cross-shard packets drained from the mailbox at a barrier park here
-  // until their delivery time. Each entry gets one scheduler event on the
-  // *destination* shard at the entry's exact (time, stamp) key, capturing
-  // only `this`. Source-side stats and in-transit accounting already happened
-  // at push time in complete_packet; delivery observation (telemetry tap,
-  // node hand-off) happens on pop, at the same layer as local deliveries.
-  // The pool is the destination LP's: pops run on the destination shard's
-  // thread, and pools are not thread-safe.
-  void set_injection_scheduler(sim::Scheduler* sched,
-                               std::shared_ptr<PacketPool> pool) {
-    injection_sched_ = sched;
-    injection_pool_ = std::move(pool);
-  }
-  void queue_injected(sim::TimePoint at, std::uint64_t seq, Packet&& pkt);
-  // Entries parked in the ring (counted into the conservation sweep's
-  // external in-flight term alongside the mailbox residency).
-  std::uint64_t injected_pending() const { return injected_.size(); }
 
   // Hands a packet to this link; may drop it immediately if the queue is
   // full.
@@ -175,6 +163,14 @@ class Link {
   // Executes the delivery at the ring head (clock already at its key) and
   // offers the next entry, if any, to the pump as the new head.
   void pump_run_delivery();
+  // Schedules one delivery at its (at, seq) key on the delivery side: a
+  // sorted ring insert offered to the delivery pump when batched, one
+  // dedicated event otherwise. complete_packet calls it for local
+  // deliveries; the parallel barrier drain calls it for cut-link arrivals,
+  // with the source-minted stamp and a packet from the destination LP's
+  // pool.
+  void schedule_delivery(sim::TimePoint at, std::uint64_t seq,
+                         PooledPacket pkt);
 
   NodeId from() const { return from_; }
   NodeId to() const { return to_; }
@@ -206,16 +202,10 @@ class Link {
   // transmission's sequence first (start_transmission), then the loss
   // lottery draw, then this packet's delivery sequence.
   void complete_packet(PooledPacket pkt);
-  // Delivery epilogue for one packet: stats, in-transit accounting, node
-  // hand-off.
+  // Delivery epilogue for one packet: stats and in-transit accounting (a
+  // cut link settled those at push time and counts the channel's executed
+  // instead), telemetry tap, node hand-off.
   void deliver_one(PooledPacket p);
-  // Pops the injected-ring head (the entry whose event just fired) and
-  // hands it to the destination node.
-  void pop_injected();
-  // Sorted insert into the delivery ring (merge position by (at, seq);
-  // append is O(1) for in-order deliveries, jittered ones swap backward).
-  void insert_delivery(sim::TimePoint at, std::uint64_t seq,
-                       PooledPacket pkt);
   PacketPool& pool();
 
   sim::Scheduler* sched_;
@@ -243,31 +233,31 @@ class Link {
   LinkStats stats_;
 
   // --- Batched hot path state --------------------------------------------
+  // Pump carrying this link's transmission completions (source side).
   LinkPump* pump_ = nullptr;
   std::uint32_t pump_id_ = 0;
+  // Where deliveries execute: the source side, or the destination LP's
+  // shard and pump for a cut link. pump == nullptr means one dedicated
+  // event per delivery on sched.
+  struct DeliverySide {
+    sim::Scheduler* sched = nullptr;
+    LinkPump* pump = nullptr;
+    std::uint32_t pump_id = 0;
+  };
+  DeliverySide delivery_;
   // Pending transmission-completion op (at most one; the transmitter is
   // serial).
   bool tx_pending_ = false;
   PumpKey tx_key_{};
   PooledPacket tx_pkt_{};
-  // Pending deliveries in (at, seq) order.
+  // Pending deliveries in (at, seq) order; a cut link's ring lives on the
+  // destination LP.
   struct DeliveryEntry {
     sim::TimePoint at;
     std::uint64_t seq;
     PooledPacket pkt;
   };
   util::RingDeque<DeliveryEntry> ring_;
-  // Cross-shard arrivals parked until their delivery time, in (at, seq)
-  // order. Popped by per-entry events on injection_sched_ (the destination
-  // node's shard).
-  struct InjectedEntry {
-    sim::TimePoint at;
-    std::uint64_t seq = 0;
-    Packet pkt;
-  };
-  util::RingDeque<InjectedEntry> injected_;
-  sim::Scheduler* injection_sched_ = nullptr;
-  std::shared_ptr<PacketPool> injection_pool_;
   // Mint-order bookkeeping: the last transmission-schedule op minted, used
   // to assert that a delivery op minted in the same instant (i.e. after
   // the loss lottery that follows the mint) sorts after it — the op-order

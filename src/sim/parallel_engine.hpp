@@ -43,7 +43,7 @@ class ParallelEngine {
   struct Hooks {
     // Drains every cross-shard mailbox into the target shards and merges
     // buffered trace records downstream. Runs on the coordinator with all
-    // workers parked. Returns the number of events injected.
+    // workers parked. Returns the number of cross-shard packets drained.
     std::function<std::uint64_t()> exchange;
     // Optional: runs after each exchange (invariant sweeps at barriers).
     std::function<void(TimePoint)> at_barrier;

@@ -1,7 +1,6 @@
 // Unit tests for the fairness metrics (Section 4 definitions).
 #include <gtest/gtest.h>
 
-#include "stats/flow_stats.hpp"
 #include "stats/metrics.hpp"
 
 namespace tcppr::stats {
@@ -49,46 +48,6 @@ TEST(Metrics, JainIndex) {
   // One flow hogging everything among n flows -> 1/n.
   EXPECT_DOUBLE_EQ(jain_index({1, 0, 0, 0}), 0.25);
   EXPECT_DOUBLE_EQ(jain_index({}), 0.0);
-}
-
-TEST(GaugeSampler, SamplesAtInterval) {
-  sim::Scheduler sched;
-  double value = 0;
-  GaugeSampler sampler(sched, sim::Duration::seconds(1),
-                       [&] { return value; });
-  sched.schedule_at(sim::TimePoint::from_seconds(2.5), [&] { value = 10; });
-  sampler.start();
-  sched.run_until(sim::TimePoint::from_seconds(5.1));
-  sampler.stop();
-  ASSERT_GE(sampler.samples().size(), 5u);
-  EXPECT_DOUBLE_EQ(sampler.samples()[0].value, 0.0);
-  EXPECT_DOUBLE_EQ(sampler.samples()[4].value, 10.0);
-}
-
-TEST(GaugeSampler, RateOverWindow) {
-  sim::Scheduler sched;
-  // Gauge = 100 * t: rate 100/s.
-  GaugeSampler sampler(sched, sim::Duration::millis(100),
-                       [&] { return 100.0 * sched.now().as_seconds(); });
-  sampler.start();
-  sched.run_until(sim::TimePoint::from_seconds(10));
-  EXPECT_NEAR(sampler.rate_over(sim::TimePoint::from_seconds(2),
-                                sim::TimePoint::from_seconds(8)),
-              100.0, 1e-6);
-}
-
-TEST(GaugeSampler, RateWithoutSamplesIsZero) {
-  sim::Scheduler sched;
-  GaugeSampler sampler(sched, sim::Duration::seconds(1), [] { return 1.0; });
-  EXPECT_DOUBLE_EQ(sampler.rate_over(sim::TimePoint::origin(),
-                                     sim::TimePoint::from_seconds(1)),
-                   0.0);
-}
-
-TEST(WindowCounter, Delta) {
-  WindowCounter counter;
-  counter.mark_start(100);
-  EXPECT_DOUBLE_EQ(counter.delta(250), 150.0);
 }
 
 }  // namespace

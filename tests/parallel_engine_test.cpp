@@ -27,6 +27,7 @@
 #include "harness/parallel_run.hpp"
 #include "harness/partition.hpp"
 #include "harness/scenarios.hpp"
+#include "net/node.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "validate/determinism.hpp"
@@ -396,6 +397,136 @@ TEST(ClusteredMesh, HeavyCrossTrafficMatchesCanonicalRun) {
     EXPECT_EQ(par.realized_lps, lps);
     EXPECT_EQ(par.hash, seq.hash) << "lps=" << lps;
     EXPECT_EQ(par.delivered, seq.delivered) << "lps=" << lps;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cut-link deliveries: kDeliver ops on the destination LP's pump
+
+// One arrival at the far node: (seq, delivery time in ns).
+struct CutArrival {
+  net::SeqNo seq;
+  std::int64_t at_ns;
+  bool operator==(const CutArrival&) const = default;
+};
+
+class CutArrivalRecorder final : public net::Agent {
+ public:
+  explicit CutArrivalRecorder(const sim::Scheduler& clock) : clock_(clock) {}
+  void deliver(net::Packet&& pkt) override {
+    arrivals.push_back({pkt.tcp.seq, clock_.now().as_nanos()});
+  }
+  std::vector<CutArrival> arrivals;
+
+ private:
+  const sim::Scheduler& clock_;
+};
+
+struct CutLinkRun {
+  std::vector<CutArrival> arrivals;
+  int realized_lps = 0;
+  std::uint64_t pump_ops = 0;
+  std::uint64_t pushed = 0;  // cross-LP pushes over the LP reports
+  // Barrier drains and external in-flight count before the first
+  // delivery and after the last.
+  std::uint64_t exchanged_mid = 0;
+  std::uint64_t in_flight_mid = 0;
+  std::uint64_t exchanged_end = 0;
+  std::uint64_t in_flight_end = 0;
+};
+
+// A burst of 400 40-byte packets over one lossy, jittered 5-ms link whose
+// transmission time truncates to 0 ns: every packet leaves at t = 0 and
+// the survivors land on at most three instants. With two LPs the link is
+// the cut, so every delivery crosses. The run stops once mid-flight
+// (after every push, before any delivery) and once after the last
+// delivery.
+CutLinkRun run_same_instant_cut_link(int lps, bool batching) {
+  Scenario s;
+  if (!batching) s.network.disable_batching();
+  const net::NodeId a = s.network.add_node();
+  const net::NodeId b = s.network.add_node();
+  net::LinkConfig cfg;
+  cfg.bandwidth_bps = 1e12;
+  cfg.delay = sim::Duration::millis(5);
+  cfg.queue_limit_packets = 1000;
+  net::Link& ab = s.network.add_link(a, b, cfg);
+  s.network.compute_static_routes();
+  ab.set_loss_model(0.2, sim::Rng(42));
+  ab.set_jitter(sim::Duration::nanos(3), sim::Rng(43));
+  s.schedule_action(sim::TimePoint::origin(), a, [&s, a, b] {
+    for (int i = 0; i < 400; ++i) {
+      net::Packet pkt;
+      pkt.dst = b;
+      pkt.size_bytes = 40;
+      pkt.tcp.flow = 1;
+      pkt.tcp.seq = i;
+      s.network.node(a).originate(std::move(pkt));
+    }
+  });
+
+  CutLinkRun out;
+  ParallelRunConfig pc;
+  pc.lps = lps;
+  ParallelSim psim(s, pc);
+  out.realized_lps = psim.lp_count();
+  CutArrivalRecorder agent(psim.shard_for(b));
+  s.network.node(b).attach_agent(1, &agent);
+  psim.run_until(sim::TimePoint::from_seconds(0.002));
+  out.exchanged_mid = psim.exchanged();
+  out.in_flight_mid = psim.external_in_flight();
+  psim.run_until(sim::TimePoint::from_seconds(0.02));
+  out.in_flight_end = psim.external_in_flight();
+  s.network.node(b).detach_agent(1);
+  out.arrivals = agent.arrivals;
+  out.pump_ops = psim.pump_stats().ops;
+  for (const auto& r : psim.lp_reports()) out.pushed += r.cross_pushed;
+  out.exchanged_end = psim.exchanged();
+  return out;
+}
+
+TEST(ParallelCutLink, SameInstantDeliverySequenceMatchesOneLpAndUnbatched) {
+  const CutLinkRun par = run_same_instant_cut_link(2, true);
+  ASSERT_EQ(par.realized_lps, 2);
+  ASSERT_FALSE(par.arrivals.empty());
+  EXPECT_LT(par.arrivals.size(), 400u);  // the loss lottery ran
+  // Hundreds of arrivals on at most three instants (5 ms + 0..2 ns),
+  // jitter-reordered among themselves.
+  EXPECT_EQ(par.arrivals.front().at_ns, sim::Duration::millis(5).as_nanos());
+  EXPECT_LE(par.arrivals.back().at_ns - par.arrivals.front().at_ns, 2);
+  EXPECT_FALSE(std::is_sorted(
+      par.arrivals.begin(), par.arrivals.end(),
+      [](const CutArrival& x, const CutArrival& y) { return x.seq < y.seq; }));
+
+  EXPECT_EQ(par.arrivals, run_same_instant_cut_link(1, true).arrivals);
+  EXPECT_EQ(par.arrivals, run_same_instant_cut_link(2, false).arrivals);
+  EXPECT_EQ(par.arrivals, run_same_instant_cut_link(1, false).arrivals);
+}
+
+TEST(ParallelCutLink, PumpOpsCountEveryCrossLpDelivery) {
+  // One tx completion per packet on the source LP's pump plus one kDeliver
+  // op per cross-LP delivery on the destination LP's — the same count as
+  // the one-LP run, where the link is local.
+  const CutLinkRun par = run_same_instant_cut_link(2, true);
+  ASSERT_EQ(par.realized_lps, 2);
+  EXPECT_EQ(par.pump_ops, 400u + par.arrivals.size());
+  EXPECT_EQ(par.pump_ops, run_same_instant_cut_link(1, true).pump_ops);
+  EXPECT_EQ(run_same_instant_cut_link(2, false).pump_ops, 0u);
+}
+
+TEST(ParallelCutLink, InFlightCountsEveryUndeliveredPush) {
+  // Every survivor was pushed at t = 0: mid-flight all of them are
+  // external (drained or not), afterwards all have executed. Either way
+  // every push is drained or still counted in flight.
+  for (const bool batching : {true, false}) {
+    const CutLinkRun par = run_same_instant_cut_link(2, batching);
+    ASSERT_EQ(par.realized_lps, 2);
+    EXPECT_EQ(par.pushed, par.arrivals.size()) << "batching " << batching;
+    EXPECT_EQ(par.in_flight_mid, par.pushed) << "batching " << batching;
+    EXPECT_EQ(par.in_flight_end, 0u) << "batching " << batching;
+    EXPECT_EQ(par.exchanged_end, par.pushed) << "batching " << batching;
+    EXPECT_LE(par.pushed, par.exchanged_mid + par.in_flight_mid);
+    EXPECT_LE(par.pushed, par.exchanged_end + par.in_flight_end);
   }
 }
 

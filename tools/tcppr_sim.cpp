@@ -91,6 +91,18 @@ constexpr double kMaxSeconds = 1e6;
 constexpr std::int64_t kMaxParNanos =
     (std::int64_t{1} << sim::Scheduler::kStampTimeBits) - 2;
 
+// Largest --flows a --par run takes with --workload million: the preset
+// starts every on/off source on the source host in the same nanosecond,
+// and a stamp numbers one node's same-nanosecond ops in kStampOpBits bits.
+int max_par_million_flows() {
+  constexpr int kOps = 1 << sim::Scheduler::kStampOpBits;
+  int flows = kOps;
+  while (workload::million_workload_config(flows).onoff_sources > kOps) {
+    --flows;
+  }
+  return flows;
+}
+
 void usage() {
   std::printf(
       "tcppr_sim — run one simulation scenario\n\n"
@@ -148,14 +160,15 @@ void usage() {
       "                        the default run except for the order of\n"
       "                        same-instant ties on tie-heavy plants\n"
       "                        (DESIGN.md 4.5). --duration is capped at\n"
-      "                        %.1f s. Also applies to --fuzz and\n"
+      "                        %.1f s, and --flows at %d with --workload\n"
+      "                        million. Also applies to --fuzz and\n"
       "                        --fuzz-seed runs\n"
       "  --fuzz <n>            fuzz campaign over seeds [--seed, --seed+n)\n"
       "  --fuzz-seed <n>       replay one fuzz case under the checker\n"
       "  --fuzz-artifacts <dir>  write per-seed reproducer files for\n"
       "                        failing fuzz seeds into <dir>\n"
       "  --jobs <j>            fuzz campaign worker threads (default 1)\n",
-      static_cast<double>(kMaxParNanos) * 1e-9);
+      static_cast<double>(kMaxParNanos) * 1e-9, max_par_million_flows());
 }
 
 // A malformed value is a usage error: message on stderr, exit 2. Never an
@@ -345,6 +358,14 @@ bool parse(int argc, char** argv, Args& args) {
     std::snprintf(expected, sizeof expected, "seconds in (0, %.1f] with --par",
                   static_cast<double>(kMaxParNanos) * 1e-9);
     usage_error("--duration", value, expected);
+  }
+  if (args.par > 0 && args.workload == "million" &&
+      args.flows > max_par_million_flows()) {
+    const std::string expected =
+        "an integer in 1.." + std::to_string(max_par_million_flows()) +
+        " with --par --workload million";
+    usage_error("--flows", std::to_string(args.flows).c_str(),
+                expected.c_str());
   }
   args.measured_s = std::min(args.measured_s, args.duration_s);
   return true;
