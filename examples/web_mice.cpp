@@ -3,61 +3,48 @@
 // Short transfers are where loss-detection latency and spurious
 // retransmissions hurt the most — a single bogus recovery can double a
 // mouse's lifetime. This example runs a Poisson stream of short transfers
-// (5-50 segments, log-uniform) across the Figure 5 mesh with full
-// multi-path spraying and compares completion-time statistics for each
-// sender variant.
+// (10-30 segments, log-uniform) across the Figure 5 mesh, next to the
+// mesh's bulk flow, with full multi-path spraying, and compares the mean
+// completion time of TCP-PR mice against SACK mice.
 //
 //   ./web_mice [epsilon] [seconds]
 //   ./web_mice 0 60
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
-#include "harness/short_flows.hpp"
+#include "harness/experiment.hpp"
 
 namespace {
 
 using namespace tcppr;
 using harness::TcpVariant;
 
-struct Row {
-  const char* name;
-  std::uint64_t completed = 0;
-  double mean_s = 0;
-  double p50_s = 0;
-  double p95_s = 0;
-};
-
-Row run(TcpVariant variant, double epsilon, double seconds) {
+workload::WorkloadStats run(TcpVariant variant, double epsilon,
+                            double seconds) {
+  // The mesh's bulk flow stays TCP-PR in both rows, so the rows differ
+  // only in the mice's variant.
   harness::MultipathConfig mc;
-  mc.variant = variant;  // unused bulk flow stays idle
   mc.epsilon = epsilon;
   auto scenario = harness::make_multipath(mc);
 
-  harness::ShortFlowPool::Config config;
-  config.variant = variant;
-  config.mean_interarrival_s = 0.25;
-  config.min_segments = 5;
-  config.max_segments = 50;
-  config.seed = 11;
-  harness::ShortFlowPool pool(scenario->network, scenario->src_host,
-                              scenario->dst_host, config);
-  pool.start();
-  scenario->sched.run_until(sim::TimePoint::from_seconds(seconds));
-  pool.stop();
+  // Web arrivals with no elephants: every flow is a log-uniform mouse, all
+  // of one variant.
+  workload::WorkloadConfig wc;
+  wc.kind = workload::WorkloadKind::kWeb;
+  wc.arrival_rate = 2.5;
+  wc.elephant_fraction = 0;
+  wc.mouse_min_segments = 10;
+  wc.mouse_max_segments = 30;
+  wc.pr_fraction = variant == TcpVariant::kTcpPr ? 1.0 : 0.0;
+  wc.seed = 5;
 
-  Row row;
-  row.name = to_string(variant);
-  row.completed = pool.flows_completed();
-  row.mean_s = pool.mean_completion_time();
-  std::vector<double> sorted = pool.completion_times();
-  std::sort(sorted.begin(), sorted.end());
-  if (!sorted.empty()) {
-    row.p50_s = sorted[sorted.size() / 2];
-    row.p95_s = sorted[sorted.size() * 95 / 100];
-  }
-  return row;
+  harness::RunConfig rc;
+  rc.window.total = sim::Duration::seconds(seconds);
+  rc.window.measured = rc.window.total;
+  rc.workload = wc;
+  harness::Run run(*scenario, rc);
+  run.run();
+  return run.engine()->stats();
 }
 
 }  // namespace
@@ -66,23 +53,19 @@ int main(int argc, char** argv) {
   const double epsilon = argc > 1 ? std::atof(argv[1]) : 0.0;
   const double seconds = argc > 2 ? std::atof(argv[2]) : 60.0;
   std::printf(
-      "short transfers (5-50 segments) over the multi-path mesh, "
+      "short transfers (10-30 segments) over the multi-path mesh, "
       "epsilon=%g, %g s\n\n",
       epsilon, seconds);
-  std::printf("%-10s %10s %12s %12s %12s\n", "variant", "completed",
-              "mean FCT", "median FCT", "p95 FCT");
-  for (const TcpVariant v :
-       {TcpVariant::kTcpPr, TcpVariant::kSack, TcpVariant::kNewReno,
-        TcpVariant::kIncByN, TcpVariant::kTdFr}) {
-    const Row row = run(v, epsilon, seconds);
-    std::printf("%-10s %10llu %10.3f s %10.3f s %10.3f s\n", row.name,
-                static_cast<unsigned long long>(row.completed), row.mean_s,
-                row.p50_s, row.p95_s);
+  std::printf("%-10s %10s %12s\n", "variant", "completed", "mean FCT");
+  for (const TcpVariant v : {TcpVariant::kTcpPr, TcpVariant::kSack}) {
+    const workload::WorkloadStats s = run(v, epsilon, seconds);
+    std::printf("%-10s %10llu %10.3f s\n", to_string(v),
+                static_cast<unsigned long long>(s.completed),
+                s.mean_completion_s());
   }
   std::printf(
-      "\nwith epsilon=0 (full spraying), timer-based senders (tcp-pr,"
-      "\ntd-fr) should show the tightest tails (p95) — a single spurious"
-      "\nrecovery can double a mouse's lifetime; with epsilon=500 (single"
-      "\npath) all variants should tie.\n");
+      "\nwith epsilon=0 (full spraying) TCP-PR mice should finish sooner:"
+      "\na single spurious recovery can double a SACK mouse's lifetime;"
+      "\nwith epsilon=500 (single path) both should tie.\n");
   return 0;
 }

@@ -1,12 +1,10 @@
-// Non-TCP traffic: constant-bit-rate source (optionally on/off) and a
-// counting sink. Used as UDP-style cross traffic and in substrate tests.
+// Non-TCP endpoint: a counting sink, used by the substrate tests.
 #pragma once
 
 #include <cstdint>
 
 #include "net/network.hpp"
 #include "net/node.hpp"
-#include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 
 namespace tcppr::app {
@@ -29,41 +27,6 @@ class PacketSink final : public net::Agent {
   std::uint64_t packets_ = 0;
   std::uint64_t bytes_ = 0;
   sim::TimePoint last_arrival_;
-};
-
-class CbrSource {
- public:
-  struct Config {
-    double rate_bps = 1e6;
-    std::uint32_t packet_bytes = 1000;
-    // Exponential on/off periods; zero mean durations = always on.
-    sim::Duration mean_on = sim::Duration::zero();
-    sim::Duration mean_off = sim::Duration::zero();
-    std::uint64_t seed = 1;
-  };
-
-  CbrSource(net::Network& network, net::NodeId local, net::NodeId remote,
-            net::FlowId flow, Config config);
-
-  void start();
-  void stop();
-  std::uint64_t packets_sent() const { return sent_; }
-
- private:
-  void emit();
-  sim::Duration interval() const;
-
-  net::Network& network_;
-  net::NodeId local_;
-  net::NodeId remote_;
-  net::FlowId flow_;
-  Config config_;
-  sim::Rng rng_;
-  sim::Timer timer_;
-  bool running_ = false;
-  bool in_on_period_ = true;
-  sim::TimePoint period_ends_;
-  std::uint64_t sent_ = 0;
 };
 
 }  // namespace tcppr::app

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace tcppr::core {
 
@@ -223,8 +222,6 @@ void TcpPrSender::handle_drop(SeqNo seq) {
   --outstanding_;
   memorized_ -= was_memorized;
   rtx_cursor_ = std::min(rtx_cursor_, seq);
-  TCPPR_LOG_DEBUG("tcp-pr", "flow %d drop detected seq %lld", flow(),
-                  static_cast<long long>(seq));
   if (probe_) probe_.drop_declared(now());
 
   if (in_backoff_) {
@@ -270,10 +267,6 @@ void TcpPrSender::handle_drop(SeqNo seq) {
     episode_started_ = now();
     const double basis =
         pr_.ablate_halve_current_cwnd ? cwnd_ : s.cwnd_at_send;
-    TCPPR_LOG_DEBUG("tcp-pr",
-                    "flow %d halving on seq %lld (rtx=%d basis=%.1f)", flow(),
-                    static_cast<long long>(seq),
-                    (s.flags & kRetransmission) != 0 ? 1 : 0, basis);
     // The snapshot rule reduces to cwnd(n)/2 — but a window that grew past
     // the snapshot during the detection delay must never be *raised* by a
     // "halving".
@@ -308,8 +301,6 @@ void TcpPrSender::handle_drop(SeqNo seq) {
 void TcpPrSender::enter_extreme_loss() {
   ++stats_.extreme_loss_events;
   ++stats_.timeouts;  // comparable to a NewReno/SACK coarse timeout
-  TCPPR_LOG_DEBUG("tcp-pr", "flow %d extreme loss (cburst=%d)", flow(),
-                  cburst_);
   cwnd_ = 1.0;
   mode_ = Mode::kSlowStart;
   // ssthr_ keeps the value set at the start of the burst (half the

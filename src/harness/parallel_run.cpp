@@ -95,7 +95,7 @@ ParallelSim::ParallelSim(Scenario& scenario, const ParallelRunConfig& config)
   // Anything left on the build scheduler was scheduled outside
   // Scenario::schedule_action and would silently never run: the scenario
   // uses a feature the parallel mode does not support (observability
-  // probes, app-layer sources, short-flow generators).
+  // probes).
   TCPPR_CHECK(scenario_.sched.pending_count() == 0);
 }
 
@@ -190,15 +190,23 @@ std::uint64_t ParallelSim::external_in_flight() const {
 
 std::vector<ParallelSim::LpReport> ParallelSim::lp_reports() const {
   std::vector<LpReport> out(shards_.size());
+  // Work, not events: a pump carrier event runs a chain of packet ops (cut
+  // link deliveries among them), so it counts as the ops it executed.
+  std::vector<std::uint64_t> work(out.size());
   std::uint64_t busiest = 0;
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i].events = shards_[i]->processed_count();
-    busiest = std::max(busiest, out[i].events);
+    work[i] = out[i].events;
+    if (!pumps_.empty()) {
+      const net::LinkPump::Stats& s = pumps_[i]->stats();
+      work[i] += s.ops - s.events;  // ops >= carrier events
+    }
+    busiest = std::max(busiest, work[i]);
   }
-  for (LpReport& r : out) {
-    r.utilization = busiest > 0 ? static_cast<double>(r.events) /
-                                      static_cast<double>(busiest)
-                                : 0.0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].utilization = busiest > 0 ? static_cast<double>(work[i]) /
+                                           static_cast<double>(busiest)
+                                     : 0.0;
   }
   for (const Mailbox& mb : mailboxes_) {
     out[static_cast<std::size_t>(mb.src_lp)].cross_pushed +=

@@ -22,9 +22,10 @@
 //      injections — Scenario::deferred): cancel on the build scheduler,
 //      re-schedule into the owning shard. Afterwards the build scheduler
 //      must be empty — a non-empty remainder means the scenario uses a
-//      feature the parallel mode does not support (observability probes,
-//      app-layer sources, short-flow generators) and the CHECK names the
-//      misuse instead of silently diverging.
+//      feature the parallel mode does not support (observability probes)
+//      and the CHECK names the misuse instead of silently diverging.
+//      Dynamic flows come from workload::WorkloadEngine, created after
+//      the ParallelSim on the owning shards.
 //
 // During the run the exchange hook drains each mailbox — in deterministic
 // order — into the link's delivery side, packets re-homed in the
@@ -99,8 +100,10 @@ class ParallelSim {
   std::uint64_t exchanged() const { return exchanged_; }
 
   // Per-LP barrier report (tcppr_sim --par prints this; the obs gauges
-  // mirror it). `utilization` is the LP's executed-event share of the
-  // busiest LP over the whole run.
+  // mirror it). `events` counts the LP's scheduler events; `utilization`
+  // is the LP's executed work over the busiest LP's, whole run, where work
+  // is events with each pump carrier event replaced by the packet ops it
+  // ran (unbatched runs have no pump: work equals events).
   struct LpReport {
     std::uint64_t events = 0;
     double utilization = 0.0;

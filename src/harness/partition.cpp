@@ -68,14 +68,14 @@ Partition::Partition(const net::Network& network,
     return comp_weight[static_cast<std::size_t>(a)] >
            comp_weight[static_cast<std::size_t>(b)];
   });
-  weights_.assign(static_cast<std::size_t>(k), 0.0);
+  std::vector<double> bin_weight(static_cast<std::size_t>(k), 0.0);
   std::vector<int> lp_of_root(static_cast<std::size_t>(n), 0);
   for (const int root : roots) {
-    const int bin = static_cast<int>(std::min_element(weights_.begin(),
-                                                      weights_.end()) -
-                                     weights_.begin());
+    const int bin = static_cast<int>(std::min_element(bin_weight.begin(),
+                                                      bin_weight.end()) -
+                                     bin_weight.begin());
     lp_of_root[static_cast<std::size_t>(root)] = bin;
-    weights_[static_cast<std::size_t>(bin)] +=
+    bin_weight[static_cast<std::size_t>(bin)] +=
         comp_weight[static_cast<std::size_t>(root)];
   }
   for (int v = 0; v < n; ++v) {
@@ -95,16 +95,6 @@ Partition::Partition(const net::Network& network,
     lp_of_[static_cast<std::size_t>(v)] = label;
   }
   lp_count_ = next;
-  {
-    std::vector<double> compact(static_cast<std::size_t>(lp_count_), 0.0);
-    for (int bin = 0; bin < k; ++bin) {
-      if (remap[static_cast<std::size_t>(bin)] >= 0) {
-        compact[static_cast<std::size_t>(remap[static_cast<std::size_t>(
-            bin)])] = weights_[static_cast<std::size_t>(bin)];
-      }
-    }
-    weights_ = std::move(compact);
-  }
 
   for (const auto& link : network.links()) {
     if (lp_of_[link->from()] != lp_of_[link->to()]) {

@@ -50,14 +50,11 @@ class Partition {
   // prop_delay > max(0, min_cut_lookahead). Pointers are non-const so the
   // parallel harness can attach mailbox channels.
   const std::vector<net::Link*>& cut_links() const { return cuts_; }
-  // Per-LP total weight (diagnostics / balance reporting).
-  const std::vector<double>& lp_weights() const { return weights_; }
 
  private:
   int lp_count_ = 1;
   std::vector<int> lp_of_;
   std::vector<net::Link*> cuts_;
-  std::vector<double> weights_;
 };
 
 }  // namespace tcppr::harness

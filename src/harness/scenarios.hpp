@@ -12,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "app/sources.hpp"
 #include "core/tcp_pr.hpp"
 #include "net/network.hpp"
 #include "obs/probe.hpp"

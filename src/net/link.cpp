@@ -6,7 +6,6 @@
 #include "telemetry/reorder_tap.hpp"
 #include "trace/trace.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace tcppr::net {
 
@@ -106,12 +105,8 @@ void Link::send(Packet&& pkt) {
                   accepted ? trace::EventType::kEnqueue
                            : trace::EventType::kQueueDrop,
                   copy, from_, to_);
-    if (!accepted) {
-      TCPPR_LOG_DEBUG("link", "queue drop on %d->%d", from_, to_);
-      return;
-    }
+    if (!accepted) return;
   } else if (!queue_->enqueue(std::move(pkt))) {
-    TCPPR_LOG_DEBUG("link", "queue drop on %d->%d", from_, to_);
     return;
   }
   if (!busy_) start_transmission();
@@ -186,7 +181,6 @@ void Link::complete_packet(PooledPacket pkt) {
       tracer_->emit(sched_->now(), trace::EventType::kLossDrop, *pkt, from_,
                     to_);
     }
-    TCPPR_LOG_DEBUG("link", "loss-model drop on %d->%d", from_, to_);
     return;  // pkt returns to the pool
   }
   ++pkt->hops;

@@ -42,7 +42,6 @@ class LinkFlapper {
     }
     sched_ = &shard;
   }
-  bool links_down() const { return down_; }
   std::uint64_t transitions() const { return transitions_; }
   // Cumulative time the link set has spent administratively down,
   // including the current outage when called while down.

@@ -4,7 +4,6 @@
 
 #include "trace/trace.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace tcppr::net {
 
@@ -19,7 +18,7 @@ void Node::add_out_link(Link* link) {
 void Node::set_next_hop(NodeId dst, NodeId next_hop) {
   const auto link = out_links_.find(next_hop);
   TCPPR_CHECK(link != out_links_.end());
-  next_hop_table_[dst] = Hop{next_hop, link->second};
+  next_hop_table_[dst] = link->second;
 }
 
 void Node::attach_agent(FlowId flow, Agent* agent) {
@@ -49,28 +48,11 @@ Link* Node::link_to(NodeId neighbor) const {
   return it == out_links_.end() ? nullptr : it->second;
 }
 
-std::optional<NodeId> Node::next_hop(NodeId dst) const {
-  const auto it = next_hop_table_.find(dst);
-  if (it == next_hop_table_.end()) return std::nullopt;
-  return it->second.via;
-}
-
-void Node::warn_no_agent(FlowId flow) {
-  static constexpr std::uint32_t kMaxWarnings = 8;
-  if (no_agent_warnings_ >= kMaxWarnings) return;
-  ++no_agent_warnings_;
-  TCPPR_LOG_WARN("node", "node %d: no agent for flow %d%s", id_, flow,
-                 no_agent_warnings_ == kMaxWarnings
-                     ? " (suppressing further no-agent warnings)"
-                     : "");
-}
-
 void Node::receive(Packet&& pkt) {
   if (pkt.dst == id_) {
     Agent* agent = find_agent(pkt.tcp.flow);
     if (agent == nullptr) {
       ++stats_.unroutable;
-      warn_no_agent(pkt.tcp.flow);
       return;
     }
     ++stats_.delivered_to_agent;
@@ -162,16 +144,14 @@ Link* Node::pick_link(Packet& pkt) {
     const auto it = next_hop_table_.find(pkt.dst);
     if (it != next_hop_table_.end()) {
       ++stats_.forwarded;
-      return it->second.link;
+      return it->second;
     }
     ++stats_.unroutable;
-    TCPPR_LOG_WARN("node", "node %d: no route to %d", id_, pkt.dst);
     return nullptr;
   }
   Link* link = link_to(next);
   if (link == nullptr) {
     ++stats_.unroutable;
-    TCPPR_LOG_WARN("node", "node %d: no link to next hop %d", id_, next);
     return nullptr;
   }
   ++stats_.forwarded;

@@ -2,7 +2,7 @@
 //
 // Forwarding uses the packet's source route when present (multi-path
 // experiments) and the node's static next-hop table otherwise. Agents
-// (TCP senders/receivers, CBR sinks) register per flow id.
+// (TCP senders/receivers, packet sinks) register per flow id.
 #pragma once
 
 #include <cstdint>
@@ -105,17 +105,9 @@ class Node {
   void originate_burst(PacketBatch&& batch);
 
   Link* link_to(NodeId neighbor) const;
-  std::optional<NodeId> next_hop(NodeId dst) const;
   const NodeStats& stats() const { return stats_; }
 
  private:
-  // Next-hop entry: the neighbor id plus the resolved link, so forwarding
-  // pays one table lookup instead of two (dst -> neighbor -> link).
-  struct Hop {
-    NodeId via = kInvalidNode;
-    Link* link = nullptr;
-  };
-
   void forward(Packet&& pkt);
   // Forwarding decision only (source route / ECMP / next-hop table, with
   // the same stats and route_pos mutations as forward()); nullptr when
@@ -135,20 +127,16 @@ class Node {
     cached_agent_ = it->second;
     return cached_agent_;
   }
-  // Unroutable-delivery diagnostics are rate-limited per node: under a
-  // churning workload every departed flow's in-flight ACKs arrive with no
-  // agent (expected, they are counted and dropped), and a warning per
-  // packet would drown the log.
-  void warn_no_agent(FlowId flow);
 
   NodeId id_;
   std::unordered_map<NodeId, Link*> out_links_;     // by neighbor id
-  std::unordered_map<NodeId, Hop> next_hop_table_;  // dst -> (neighbor, link)
+  // dst -> resolved outgoing link, so forwarding pays one table lookup
+  // instead of two (dst -> neighbor -> link).
+  std::unordered_map<NodeId, Link*> next_hop_table_;
   std::unordered_map<FlowId, Agent*> agents_;
   Agent* default_agent_ = nullptr;
   FlowId cached_flow_ = kInvalidFlow;
   Agent* cached_agent_ = nullptr;
-  std::uint32_t no_agent_warnings_ = 0;
   std::unordered_map<NodeId, std::vector<NodeId>> ecmp_table_;
   SourceRoutingPolicy* routing_policy_ = nullptr;
   trace::Tracer* tracer_ = nullptr;

@@ -25,7 +25,7 @@ inline constexpr FlowId kInvalidFlow = -1;
 // sends after a transfer is fully acknowledged: it tells the receiver-side
 // demux that the flow departed so its state can be reclaimed. Transports
 // that never close (the paper's long-lived FTP flows) never see one.
-enum class PacketType : std::uint8_t { kTcpData, kTcpAck, kTcpClose, kCbr };
+enum class PacketType : std::uint8_t { kTcpData, kTcpAck, kTcpClose };
 
 // Half-open SACK block [begin, end) in packet-granularity sequence space.
 struct SackBlock {

@@ -74,7 +74,6 @@ class MetricRegistry {
   // flows-ever-created), which is what makes observability affordable when
   // flows arrive and depart by the thousands per second.
   void set_aggregate_only(bool on) { aggregate_only_ = on; }
-  bool aggregate_only() const { return aggregate_only_; }
 
   // Drops every stored (metric, flow) value for a departed flow. Without
   // this the value table grows by one entry per metric per flow ever

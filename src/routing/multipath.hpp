@@ -57,7 +57,6 @@ class RouteFlapPolicy final : public net::SourceRoutingPolicy {
                   sim::Duration flap_interval);
 
   std::optional<Choice> choose_route(NodeId dst) override;
-  int current_path() const { return current_; }
 
  private:
   sim::Scheduler& sched_;

@@ -36,10 +36,6 @@ class Duration {
   constexpr double as_seconds() const { return static_cast<double>(ns_) * 1e-9; }
   constexpr double as_millis() const { return static_cast<double>(ns_) * 1e-6; }
 
-  constexpr bool is_infinite() const {
-    return ns_ == std::numeric_limits<std::int64_t>::max();
-  }
-
   friend constexpr Duration operator+(Duration a, Duration b) {
     return Duration(a.ns_ + b.ns_);
   }

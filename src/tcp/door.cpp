@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.hpp"
-
 namespace tcppr::tcp {
 
 DoorSender::DoorSender(net::Network& network, net::NodeId local,
@@ -23,8 +21,6 @@ void DoorSender::on_ack_packet(const net::Packet& ack) {
     if (ack.tcp.echo_serial < highest_echo_serial_) {
       ++ooo_events_;
       last_ooo_at_ = now();
-      TCPPR_LOG_DEBUG("tcp-door", "flow %d out-of-order event #%llu", flow(),
-                      static_cast<unsigned long long>(ooo_events_));
       // Instant recovery: a congestion response in the recent past was
       // likely triggered by this reordering, not by loss.
       if (now() - last_reduction_at_ <= params_.t2 &&

@@ -1,6 +1,5 @@
 #include "tcp/eifel.hpp"
 
-#include "util/logging.hpp"
 
 namespace tcppr::tcp {
 
@@ -24,8 +23,6 @@ void EifelSender::on_new_ack_hook(const net::Packet& ack) {
   recent_rtx_.erase(recent_rtx_.begin(),
                     recent_rtx_.lower_bound(ack.tcp.ack));
   ++stats_.spurious_retransmits_detected;
-  TCPPR_LOG_DEBUG("eifel", "flow %d spurious rtx of %lld (ts echo)", flow(),
-                  static_cast<long long>(seq));
   // Eifel restores the full pre-retransmission state.
   undo_last_reduction(/*full_restore=*/true);
 }

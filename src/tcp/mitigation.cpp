@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.hpp"
 
 namespace tcppr::tcp {
 
@@ -29,9 +28,8 @@ MitigationSender::MitigationSender(net::Network& network, net::NodeId local,
   process_dsack_ = true;
 }
 
-void MitigationSender::on_spurious_retransmit(SeqNo seq, int reorder_extent) {
-  TCPPR_LOG_DEBUG("mitigation", "flow %d spurious rtx of %lld extent=%d",
-                  flow(), static_cast<long long>(seq), reorder_extent);
+void MitigationSender::on_spurious_retransmit(SeqNo /*seq*/,
+                                              int reorder_extent) {
   // Undo the congestion response that the spurious retransmission caused
   // (all four variants do this; DSACK-NM does only this).
   undo_last_reduction(/*full_restore=*/false);

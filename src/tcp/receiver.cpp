@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace tcppr::tcp {
 

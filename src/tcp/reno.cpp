@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace tcppr::tcp {
 
@@ -124,8 +123,6 @@ void RenoSender::enter_fast_recovery() {
 void RenoSender::on_timeout() {
   if (flight_size() <= 0) return;
   ++stats_.timeouts;
-  TCPPR_LOG_DEBUG("reno", "flow %d timeout, snd_una=%lld", flow(),
-                  static_cast<long long>(snd_una_));
   ssthresh_ = std::max(static_cast<double>(flight_size()) / 2.0, 2.0);
   cwnd_ = 1;
   inflation_ = 0;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace tcppr::tcp {
 
@@ -267,8 +266,6 @@ void SackSender::send_more() {
 void SackSender::on_timeout() {
   if (snd_nxt_ <= snd_una_) return;
   ++stats_.timeouts;
-  TCPPR_LOG_DEBUG("sack", "flow %d timeout at una=%lld", flow(),
-                  static_cast<long long>(snd_una_));
   ssthresh_ = std::max(pipe() / 2.0, 2.0);
   cwnd_ = 1;
   dupacks_ = 0;

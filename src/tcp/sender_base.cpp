@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
 
 namespace tcppr::tcp {
 
@@ -70,8 +69,6 @@ void SenderBase::transmit_segment(SeqNo seq, bool is_retransmission,
     ++stats_.retransmissions;
     if (probe_) probe_.retransmission(now());
   }
-  TCPPR_LOG(LogLevel::kTrace, "tcp", "flow %d send seq %lld rtx=%d", flow_,
-            static_cast<long long>(seq), is_retransmission ? 1 : 0);
   if (burst_depth_ > 0) {
     burst_.push(std::move(pkt));
     return;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.hpp"
 
 namespace tcppr::tcp {
 
@@ -23,9 +22,7 @@ sim::Duration TdFrSender::wait_threshold() const {
   const sim::Duration half_rtt = rto_.has_sample()
                                      ? rto_.srtt() / 2.0
                                      : config_.initial_rto / 2.0;
-  sim::Duration dt = dt_;
-  if (adaptive_wait_) dt = std::max(dt, dt_ewma_);
-  return std::max(half_rtt, dt);
+  return std::max({half_rtt, dt_, dt_ewma_});
 }
 
 void TdFrSender::handle_dupack(const net::Packet&) {
@@ -63,7 +60,6 @@ void TdFrSender::on_timer() {
   if (in_recovery_ || dupacks_ < config_.dupthresh || flight_size() <= 0) {
     return;
   }
-  TCPPR_LOG_DEBUG("td-fr", "flow %d wait expired; entering recovery", flow());
   episode_open_ = false;
   enter_fast_recovery();
   send_new_data();

@@ -9,10 +9,10 @@
 // where dupacks trickle, but degenerate (~one serialization time) under
 // per-packet multi-path reordering. We therefore let DT track an EWMA of
 // observed episode resolution times (first dupack -> cancelling new ACK),
-// with the literal t3-t1 as a lower bound; `adaptive_wait = false`
-// restores the literal rule. The adaptive wait is what gives TD-FR its
-// paper-reported profile: tolerable at 10 ms link delays, collapsing at
-// 60 ms, where each genuine loss costs a long stall followed by a burst.
+// with the literal t3-t1 as a lower bound. The adaptive wait is what gives
+// TD-FR its paper-reported profile: tolerable at 10 ms link delays,
+// collapsing at 60 ms, where each genuine loss costs a long stall followed
+// by a burst.
 #pragma once
 
 #include "tcp/reno.hpp"
@@ -25,12 +25,6 @@ class TdFrSender final : public NewRenoSender {
              FlowId flow, TcpConfig config = {});
 
   const char* algorithm() const override { return "td-fr"; }
-  bool wait_timer_armed() const { return fr_timer_.armed(); }
-  sim::Duration current_dt() const { return dt_; }
-  sim::Duration learned_episode_time() const { return dt_ewma_; }
-
-  // Literal Paxson rule (DT = t3 - t1 only); for ablation.
-  void set_adaptive_wait(bool adaptive) { adaptive_wait_ = adaptive; }
 
   void rebind_scheduler(sim::Scheduler& shard) override {
     NewRenoSender::rebind_scheduler(shard);
@@ -52,7 +46,6 @@ class TdFrSender final : public NewRenoSender {
   sim::Duration dt_ = sim::Duration::zero();  // t(3rd dupack) - t(1st)
   sim::Duration dt_ewma_ = sim::Duration::zero();  // learned episode time
   bool episode_open_ = false;
-  bool adaptive_wait_ = true;
   static constexpr double kEwmaGain = 0.25;
 };
 

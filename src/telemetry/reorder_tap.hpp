@@ -94,7 +94,7 @@ class ReorderTap {
   // loses them).
   struct Totals {
     std::uint64_t data_packets = 0;   // exact, always
-    std::uint64_t other_packets = 0;  // ACKs / closes / CBR: not tracked
+    std::uint64_t other_packets = 0;  // ACKs / closes: not tracked
     std::uint64_t reordered = 0;
     std::uint64_t displacement_sum = 0;
     net::SeqNo max_displacement = 0;

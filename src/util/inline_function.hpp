@@ -77,9 +77,6 @@ class InlineFunction<R(Args...), InlineBytes> {
     return vtable_->invoke(storage_, std::forward<Args>(args)...);
   }
 
-  // True when the held callable lives in the inline buffer (for tests).
-  bool is_inline() const { return vtable_ != nullptr && !vtable_->heap; }
-
   static constexpr std::size_t inline_capacity() { return InlineBytes; }
 
  private:
@@ -91,7 +88,6 @@ class InlineFunction<R(Args...), InlineBytes> {
     // src empty (trivial pointer copy in the heap case).
     void (*relocate)(void* src, void* dst);
     void (*destroy)(void*);
-    bool heap;
   };
 
   // Inline storage is pointer-aligned (not max_align_t) so the whole
@@ -115,7 +111,6 @@ class InlineFunction<R(Args...), InlineBytes> {
         from->~D();
       },
       [](void* s) { std::launder(reinterpret_cast<D*>(s))->~D(); },
-      /*heap=*/false,
   };
 
   template <typename D>
@@ -128,7 +123,6 @@ class InlineFunction<R(Args...), InlineBytes> {
         *reinterpret_cast<void**>(dst) = *reinterpret_cast<void**>(src);
       },
       [](void* s) { delete static_cast<D*>(*reinterpret_cast<void**>(s)); },
-      /*heap=*/true,
   };
 
   template <typename F, typename D = std::decay_t<F>>

@@ -60,7 +60,6 @@ class SlotTable {
   std::int32_t capacity() const { return capacity_; }
   std::size_t active_count() const { return active_count_; }
   std::size_t cooling_count() const { return cooling_.size(); }
-  std::size_t ready_count() const { return ready_.size(); }
 
   // Bytes currently reserved by the per-slot arrays plus the recycling
   // queues (capacity, not size — what the process actually holds).

@@ -446,8 +446,8 @@ void WorkloadEngine::spawn_flow(int source) {
 
 void WorkloadEngine::on_complete(std::uint32_t slot, std::uint32_t gen) {
   // Runs inside the sender's own ACK processing; defer the teardown one
-  // zero-delay event (the ShortFlowPool pattern, sentinel-guarded so an
-  // engine destroyed in the window is safe).
+  // zero-delay event. The event holds a weak_ptr to the liveness sentinel,
+  // so an engine destroyed in that window turns it into a no-op.
   src_sched_->schedule_in_for(
       sim::Duration::zero(), static_cast<std::uint32_t>(src_),
       [this, slot, gen, alive = std::weak_ptr<int>(alive_)] {

@@ -206,9 +206,8 @@ class FlowServer final : public net::Agent {
   net::NodeId remote_;
   const WorkloadConfig& config_;
   sim::Scheduler* sched_;  // dst shard in parallel mode
-  // Liveness sentinel for deferred close events (same pattern as
-  // harness::ShortFlowPool): a server destroyed with closes pending must
-  // not be fired into.
+  // Liveness sentinel for deferred close events: each holds a weak_ptr to
+  // it, so a server destroyed with closes pending is not fired into.
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);
   sim::Timer reap_timer_;
   bool running_ = false;

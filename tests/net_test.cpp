@@ -180,6 +180,19 @@ TEST_F(TwoNodeFixture, NoAgentCountsUnroutable) {
   EXPECT_EQ(network.node(b).stats().unroutable, 1u);
 }
 
+TEST_F(TwoNodeFixture, NoRouteOrNoLinkCountsUnroutable) {
+  const NodeId c = network.add_node();  // after routing: unreachable
+  network.node(a).originate(make_packet(c, 100));
+  Packet pkt = make_packet(b, 100);
+  pkt.source_route = {c};  // c is no neighbor of a
+  network.node(a).originate(std::move(pkt));
+  sched.run();
+  EXPECT_EQ(network.node(a).stats().unroutable, 2u);
+  EXPECT_EQ(network.node(a).stats().forwarded, 0u);
+  EXPECT_EQ(ab->stats().delivered, 0u);
+  EXPECT_EQ(sink->packets(), 0u);
+}
+
 TEST(Network, ForwardsAcrossChain) {
   sim::Scheduler sched;
   Network network(sched);
@@ -267,27 +280,6 @@ TEST(Network, TotalDropsAggregates) {
   }
   sched.run();
   EXPECT_EQ(network.total_drops(), 10u - sink.packets());
-}
-
-TEST(CbrSource, SendsAtConfiguredRate) {
-  sim::Scheduler sched;
-  Network network(sched);
-  const NodeId n0 = network.add_node();
-  const NodeId n1 = network.add_node();
-  LinkConfig cfg;
-  cfg.bandwidth_bps = 100e6;
-  network.add_duplex_link(n0, n1, cfg);
-  network.compute_static_routes();
-  app::PacketSink sink(network, n1, 5);
-  app::CbrSource::Config cc;
-  cc.rate_bps = 800e3;  // 100 pkt/s at 1000 B
-  cc.packet_bytes = 1000;
-  app::CbrSource cbr(network, n0, n1, 5, cc);
-  cbr.start();
-  sched.run_until(sim::TimePoint::from_seconds(1.0));
-  cbr.stop();
-  sched.run();
-  EXPECT_NEAR(static_cast<double>(sink.packets()), 100.0, 2.0);
 }
 
 }  // namespace

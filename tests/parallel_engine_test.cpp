@@ -311,6 +311,34 @@ TEST(ParallelManyFlows, DumbbellDigestMatchesSequentialAtEveryLpCount) {
   }
 }
 
+TEST(ParallelManyFlows, LpUtilizationCountsPumpOpsLikeUnbatchedEvents) {
+  // A pump carrier event runs a chain of packet ops, cut-link deliveries
+  // among them, where the unbatched run spends one event per op. Counting
+  // an LP's work as its ops plus its non-carrier events gives both runs
+  // the same per-LP utilization.
+  const auto reports = [](bool batching) {
+    harness::ManyFlowsConfig cfg;
+    cfg.flows = 64;
+    cfg.seed = 3;
+    auto s = harness::make_many_flows(cfg);
+    if (!batching) s->network.disable_batching();
+    ParallelRunConfig pc;
+    pc.lps = 2;
+    ParallelSim psim(*s, pc);
+    psim.run_until(sim::TimePoint::from_seconds(2.0));
+    return psim.lp_reports();
+  };
+  const auto batched = reports(true);
+  const auto unbatched = reports(false);
+  ASSERT_EQ(batched.size(), 2u);
+  ASSERT_EQ(unbatched.size(), 2u);
+  for (std::size_t lp = 0; lp < 2; ++lp) {
+    EXPECT_LT(batched[lp].events, unbatched[lp].events) << "lp " << lp;
+    EXPECT_DOUBLE_EQ(batched[lp].utilization, unbatched[lp].utilization)
+        << "lp " << lp;
+  }
+}
+
 TEST(ParallelManyFlows, RandomGraphDigestMatchesCanonicalOneShardRun) {
   const auto make = [] {
     harness::ManyFlowsConfig cfg;

@@ -7,10 +7,12 @@
 #include <cstdint>
 #include <memory>
 
+#include "harness/experiment.hpp"
 #include "harness/parallel_run.hpp"
 #include "harness/scenarios.hpp"
 #include "net/link_pump.hpp"
 #include "obs/series.hpp"
+#include "trace/trace.hpp"
 #include "validate/determinism.hpp"
 #include "workload/workload.hpp"
 
@@ -311,6 +313,97 @@ TEST(Workload, OnOffPopulationAlternatesTransfersAndThink) {
   EXPECT_GT(stats.arrivals, 16u * 4);
   EXPECT_GT(stats.completed, 0u);
   EXPECT_LE(stats.active, 16u);
+}
+
+// ---------------------------------------------------------------------------
+// Flow completion times and teardown edges
+
+TEST(Workload, ReorderingInflatesSackMiceButNotPrMice) {
+  // Flow completion time on the multipath mesh, next to the mesh's TCP-PR
+  // bulk flow: SACK mice suffer spurious retransmissions and RTO stalls
+  // under per-packet spraying; TCP-PR mice do not.
+  const auto run_mice = [](double pr_fraction) {
+    auto scenario = harness::make_multipath(harness::MultipathConfig{});
+    WorkloadConfig wc;
+    wc.kind = WorkloadKind::kWeb;
+    wc.arrival_rate = 2.5;
+    wc.elephant_fraction = 0;
+    wc.mouse_min_segments = 10;
+    wc.mouse_max_segments = 30;
+    wc.pr_fraction = pr_fraction;
+    wc.seed = 5;
+    harness::RunConfig rc;
+    rc.window.total = sim::Duration::seconds(60);
+    rc.window.measured = rc.window.total;
+    rc.workload = wc;
+    harness::Run run(*scenario, rc);
+    run.run();
+    return run.engine()->stats();
+  };
+  const WorkloadStats pr = run_mice(1.0);
+  const WorkloadStats sack = run_mice(0.0);
+  EXPECT_GT(pr.completed, 50u);
+  EXPECT_GT(sack.completed, 50u);
+  EXPECT_LT(pr.mean_completion_s(), sack.mean_completion_s());
+}
+
+// Stops the scheduler on the delivery event that completes a transfer:
+// the sender's completion callback runs inside that same event and
+// schedules its zero-delay teardown, so when run_until returns the
+// teardown is still queued.
+class StopOnFinalAck final : public trace::TraceSink {
+ public:
+  StopOnFinalAck(sim::Scheduler& sched, net::SeqNo total)
+      : sched_(sched), total_(total) {}
+  void record(const trace::Record& r) override {
+    if (r.type == trace::EventType::kDeliver && r.is_ack &&
+        r.seq >= total_) {
+      triggered_ = true;
+      sched_.stop();
+    }
+  }
+  bool triggered() const { return triggered_; }
+
+ private:
+  sim::Scheduler& sched_;
+  net::SeqNo total_;
+  bool triggered_ = false;
+};
+
+TEST(Workload, DestroyingEngineWithDeferredTeardownPendingIsSafe) {
+  // The teardown event is guarded by the engine's liveness sentinel: an
+  // engine destroyed while it is queued must turn it into a no-op instead
+  // of firing into freed memory.
+  auto s = make_churn_dumbbell(50e6);
+  StopOnFinalAck stopper(s->sched, 5);
+  s->network.add_trace_sink(&stopper);
+  {
+    WorkloadConfig wc = mice_config(20);
+    wc.min_segments = 5;  // fixed size: ack == 5 completes any flow
+    wc.max_segments = 5;
+    WorkloadEngine engine(*s, wc);
+    engine.start();
+    s->sched.run_until(sim::TimePoint::from_seconds(30));  // stops early
+    ASSERT_TRUE(stopper.triggered());
+    EXPECT_EQ(engine.stats().completed, 0u);  // teardown still queued
+  }
+  // The stranded teardown fires against the destroyed engine.
+  s->sched.run_until(s->sched.now() + sim::Duration::seconds(1));
+}
+
+TEST(Workload, SlowBottleneckRejectsArrivalsBeyondConcurrencyCap) {
+  auto s = make_churn_dumbbell(1e5);  // flows pile up
+  WorkloadConfig wc = mice_config(20);
+  wc.min_segments = 5;
+  wc.max_segments = 50;
+  wc.max_concurrent = 10;
+  WorkloadEngine engine(*s, wc);
+  engine.start();
+  for (int i = 1; i <= 20; ++i) {
+    s->sched.run_until(sim::TimePoint::from_seconds(i));
+    EXPECT_LE(engine.stats().active, 10u);
+  }
+  EXPECT_GT(engine.stats().rejected, 0u);
 }
 
 }  // namespace
